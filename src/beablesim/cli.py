@@ -20,6 +20,7 @@ output byte a pure function of (config, seed).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -76,7 +77,6 @@ from .relmodels import (
 __all__ = ["run", "main", "emit_field", "load_field", "parse_config", "ScenarioConfig"]
 
 KINDS = ("abl-check", "nonrel-nparticle", "nonrel-classes", "toy1", "toy2")
-THREADS_ENV_VAR = "BEABLESIM_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +99,19 @@ def _record(value: Any, path: str, required: Sequence[str], optional: Sequence[s
     return value
 
 
+def _finite(value: int | float, path: str) -> float:
+    """``value`` as a float, refusing the NaN, infinities and overflowing literals JSON admits."""
+    if not abs(value) <= sys.float_info.max:
+        _fail(path, "expected a finite number")
+    return float(value)
+
+
 def _number(record: dict, path: str, key: str, *, minimum: float | None = None,
             exclusive_minimum: float | None = None) -> float:
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
-    value = float(value)
+    value = _finite(value, f"{path}.{key}")
     if minimum is not None and value < minimum:
         _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
     if exclusive_minimum is not None and value <= exclusive_minimum:
@@ -134,13 +141,13 @@ def _choice(record: dict, path: str, key: str, options: Sequence[str]) -> str:
 def _complex(record: dict, path: str, key: str) -> complex:
     value = record[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_finite(value, f"{path}.{key}"), 0.0)
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_finite(value[0], f"{path}.{key}"), _finite(value[1], f"{path}.{key}"))
     _fail(f"{path}.{key}", "expected a number or a [re, im] pair")
 
 
@@ -370,7 +377,7 @@ def _toy_checks(toy: ToyModelConfig, choice: NatureChoice, field: BeableField) -
     ]
 
 
-def _run_toy(cfg: ScenarioConfig, threads: int) -> tuple[list[dict], dict, dict]:
+def _run_toy(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
     toy, branch = _build_toy_config(cfg)
     if branch is None:
         choice = sample_nature_choice(toy, np.random.default_rng(cfg.seed))
@@ -465,7 +472,8 @@ def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeMod
         entries = h_record["entries"]
         try:
             matrix = np.array(
-                [[_cell_to_complex(cell) for cell in row] for row in entries], dtype=complex
+                [[_cell_to_complex(cell, f"{h_path}.entries") for cell in row] for row in entries],
+                dtype=complex,
             )
         except (TypeError, ValueError):
             _fail(f"{h_path}.entries", "expected a nested list of numbers or [re, im] pairs")
@@ -486,11 +494,11 @@ def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeMod
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _cell_to_complex(cell: Any) -> complex:
+def _cell_to_complex(cell: Any, path: str) -> complex:
     if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(float(cell), 0.0)
+        return complex(_finite(cell, path), 0.0)
     if isinstance(cell, list) and len(cell) == 2:
-        return complex(float(cell[0]), float(cell[1]))
+        return complex(_finite(cell[0], path), _finite(cell[1], path))
     raise TypeError(f"bad matrix cell {cell!r}")
 
 
@@ -512,9 +520,7 @@ def _oracle_field_residual(
 ) -> float:
     conditioned = beable_class.other() if beable_class is not None else None
     labels = class_labels(model, conditioned)
-    assignments = [()]
-    for _ in labels:
-        assignments = [a + (s,) for a in assignments for s in range(model.sites)]
+    assignments = list(itertools.product(range(model.sites), repeat=len(labels)))
     final_family = ProjectorFamily(
         [final_boundary_projector(model, conditioned, a) for a in assignments],
         [float(i) for i in range(len(assignments))],
@@ -534,7 +540,7 @@ def _oracle_field_residual(
     return worst
 
 
-def _run_lattice(cfg: ScenarioConfig, threads: int) -> tuple[list[dict], dict, dict]:
+def _run_lattice(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
     with_class = cfg.kind == "nonrel-classes"
     model = _build_lattice_model(cfg, with_class=with_class)
     if with_class:
@@ -558,7 +564,7 @@ def _run_lattice(cfg: ScenarioConfig, threads: int) -> tuple[list[dict], dict, d
     else:
         final_sites = sample_final_sites(model, conditioned, np.random.default_rng(cfg.seed))
     times = _lattice_times(cfg, model.t_final)
-    field = abl_mass_field(model, beable_class, final_sites, times, threads=threads)
+    field = abl_mass_field(model, beable_class, final_sites, times)
     field_path = f"{cfg.out_prefix}_field.{cfg.out_format}"
     emit_field(field, cfg.out_format, field_path)
     reloaded = load_field(cfg.out_format, field_path)
@@ -568,7 +574,7 @@ def _run_lattice(cfg: ScenarioConfig, threads: int) -> tuple[list[dict], dict, d
     )
     over = float(np.max(reloaded.values)) - scope_mass
     under = -float(np.min(reloaded.values))
-    range_residual = max(over, under, 0.0) / scope_mass
+    range_residual = max(0.0, over, under) / scope_mass
     checks = [_check("field-range", range_residual, tolerances.TOL.scalar)]
     if model.dim <= 64:
         checks.append(
@@ -620,7 +626,7 @@ def _monte_carlo_frequencies(scenario, trials: int, rng: np.random.Generator):
     return counts / accepted.size, int(accepted.size)
 
 
-def _run_abl_check(cfg: ScenarioConfig, threads: int) -> tuple[list[dict], dict, dict]:
+def _run_abl_check(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
     path = "config.parameters"
     record = _record(cfg.parameters, path, ("count", "max_dim"), ("monte_carlo_trials",))
     count = _integer(record, path, "count", minimum=1)
@@ -684,25 +690,12 @@ _RUNNERS = {
 }
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 1
-
-
 def run(
     config_path: str,
     *,
     seed: int | None = None,
     out: str | None = None,
     fmt: str | None = None,
-    threads: int | None = None,
     stderr=None,
 ) -> int:
     """Execute one scenario config; returns the process exit code."""
@@ -727,11 +720,10 @@ def run(
             if fmt not in ("csv", "json"):
                 raise ValidationError(f"--format must be csv or json, got {fmt!r}")
             cfg = ScenarioConfig(cfg.kind, cfg.parameters, cfg.seed, cfg.grid, cfg.out_prefix, fmt)
-        thread_count = _resolve_threads(threads)
         parsed_elapsed = time.perf_counter() - started
 
         phase_started = time.perf_counter()
-        checks, selection, artifacts = _RUNNERS[cfg.kind](cfg, thread_count)
+        checks, selection, artifacts = _RUNNERS[cfg.kind](cfg)
         run_elapsed = time.perf_counter() - phase_started
 
         report = {
@@ -791,16 +783,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner.add_argument("--out", default=None, help="override the output prefix")
     runner.add_argument("--format", default=None, choices=("csv", "json"),
                         help="override the output format")
-    runner.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads for grid evaluation (or ${THREADS_ENV_VAR})")
     args = parser.parse_args(argv)
-    return run(
-        args.config,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
+    return run(args.config, seed=args.seed, out=args.out, fmt=args.format)
 
 
 if __name__ == "__main__":  # pragma: no cover

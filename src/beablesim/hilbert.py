@@ -9,8 +9,7 @@ Time evolution diagonalizes the (Hermitian) generator instead of truncating a
 series: the propagator is then unitary to floating-point accuracy, which
 matters because conditional-probability denominators downstream amplify any
 norm drift.  All reductions use a fixed summation order, so results are
-bit-stable across repeated calls; parallelism is only ever applied across
-independent calls, never inside one.
+bit-stable across repeated calls.
 """
 
 from __future__ import annotations

@@ -18,21 +18,22 @@ from __future__ import annotations
 
 import enum
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import tolerances
-from .abl import ConditionalDistribution, PrePostScenario, abl_evolved, abl_expectation
+from .abl import ConditionalDistribution
+from .abl import abl_evolved  # noqa: F401 - bench/tracing.py wraps nonrel.abl_evolved
 from .errors import (
     CapacityError,
     ImpossiblePostSelectionError,
     ValidationError,
 )
 from .fields import BeableField
-from .hilbert import LinearOperator, ProjectorFamily, StateVector, born_probability, evolve
+from .hilbert import LinearOperator, ProjectorFamily, StateVector, _require_hermitian
 
 __all__ = [
     "Statistics",
@@ -170,10 +171,30 @@ class LatticeModel:
         ]
         return np.array(rows)
 
+    @cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Eigenvalues and eigenvectors of the generator; None for frozen or zero dynamics."""
+        if self.hamiltonian is None or not np.any(self.hamiltonian.matrix):
+            return None
+        _require_hermitian(self.hamiltonian)
+        return np.linalg.eigh(self.hamiltonian.matrix)
+
+    def propagate(self, vectors: np.ndarray, t: float) -> np.ndarray:
+        """``exp(-iHt)`` applied to one vector or to every column of a batch.
+
+        The generator is diagonalized once per model, on first use; ``t = 0``
+        and frozen or zero dynamics return ``vectors`` unchanged.
+        """
+        if t == 0.0 or self._eigenpairs is None:
+            return vectors
+        w, v = self._eigenpairs
+        phases = np.exp(-1j * w * t)
+        if vectors.ndim == 2:
+            phases = phases[:, None]
+        return v @ (phases * (v.conj().T @ vectors))
+
     def evolved_state(self, t: float) -> StateVector:
-        if self.hamiltonian is None:
-            return self.initial
-        return evolve(self.hamiltonian, t, self.initial)
+        return StateVector(self.propagate(self.initial.amplitudes, t))
 
     def site_coordinates(self) -> np.ndarray:
         return self.spacing * np.arange(self.sites, dtype=float)
@@ -310,14 +331,25 @@ def mass_projector_anywhere(
     is idempotent only when that count never exceeds one; it is exposed for
     completeness identities and diagnostics, not as a measurement outcome.
     """
-    positions = model.positions_by_particle()
     total = np.zeros(model.dim, dtype=np.complex128)
     for site in range(model.sites):
-        mask = np.zeros(model.dim, dtype=bool)
-        for slot in _mass_group(model, scope, mass):
-            mask |= _exclusive_mask(positions, slot, site)
-        total += mask.astype(np.complex128)
+        total += _mass_at_site_mask(model, scope, mass, site).astype(np.complex128)
     return LinearOperator(np.diag(total), hermitian=True)
+
+
+def _outcome_masks(
+    model: LatticeModel, scope: ParticleClass | None, site: int
+) -> tuple[list[float], list[np.ndarray]]:
+    """Labels and basis masks of the outcomes "which scope mass sits at ``site``".
+
+    One mask per distinct scope mass, labelled by that mass, then the
+    complement labelled 0 ("no isolated scope mass here").
+    """
+    site = _check_site(model, site)
+    masses = mass_spectrum(model, scope).values
+    masks = [_mass_at_site_mask(model, scope, mass, site) for mass in masses]
+    masks.append(~np.any(masks, axis=0))
+    return [*masses, 0.0], masks
 
 
 def mass_family_at(
@@ -328,18 +360,24 @@ def mass_family_at(
     One member per distinct scope mass, labelled by that mass, plus the
     complement projector labelled 0 ("no isolated scope mass here").
     """
-    site = _check_site(model, site)
-    members: list[LinearOperator] = []
-    labels: list[float] = []
-    combined = np.zeros(model.dim, dtype=bool)
-    for mass in mass_spectrum(model, scope).values:
-        mask = _mass_at_site_mask(model, scope, mass, site)
-        members.append(_diagonal_projector(mask))
-        labels.append(mass)
-        combined |= mask
-    members.append(_diagonal_projector(~combined))
-    labels.append(0.0)
-    return ProjectorFamily(members, labels)
+    labels, masks = _outcome_masks(model, scope, site)
+    return ProjectorFamily([_diagonal_projector(mask) for mask in masks], labels)
+
+
+def _boundary_mask(
+    model: LatticeModel, conditioned_class: ParticleClass | None, sites: Sequence[int]
+) -> np.ndarray:
+    """Basis mask pinning each conditioned particle at its site, in label order."""
+    indices = _scope_indices(model, conditioned_class)
+    if len(sites) != len(indices):
+        raise ValidationError(
+            f"need one site per conditioned particle ({len(indices)}), got {len(sites)}"
+        )
+    positions = model.positions_by_particle()
+    mask = np.ones(model.dim, dtype=bool)
+    for slot, site in zip(indices, sites):
+        mask &= positions[slot] == _check_site(model, site)
+    return mask
 
 
 def final_boundary_projector(
@@ -352,16 +390,7 @@ def final_boundary_projector(
     identity on the other class.  An empty scope yields the identity (no
     post-selection).
     """
-    indices = _scope_indices(model, conditioned_class)
-    if len(sites) != len(indices):
-        raise ValidationError(
-            f"need one site per conditioned particle ({len(indices)}), got {len(sites)}"
-        )
-    positions = model.positions_by_particle()
-    mask = np.ones(model.dim, dtype=bool)
-    for slot, site in zip(indices, sites):
-        mask &= positions[slot] == _check_site(model, site)
-    return _diagonal_projector(mask)
+    return _diagonal_projector(_boundary_mask(model, conditioned_class, sites))
 
 
 def _particle_site_probabilities(model: LatticeModel, state: StateVector) -> np.ndarray:
@@ -400,10 +429,6 @@ def class_mass_distribution(
     return MassDistribution(tuple(sites), expected)
 
 
-def _zero_generator(model: LatticeModel) -> LinearOperator:
-    return LinearOperator.zero(model.dim)
-
-
 def sample_final_sites(
     model: LatticeModel,
     conditioned_class: ParticleClass | None,
@@ -418,20 +443,13 @@ def sample_final_sites(
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    indices = _scope_indices(model, conditioned_class)
     psi_final = model.evolved_state(model.t_final)
     weights = np.abs(psi_final.amplitudes) ** 2
-    positions = model.positions_by_particle()
-    assignments = [()]
-    for _ in indices:
-        assignments = [a + (s,) for a in assignments for s in range(model.sites)]
-    probabilities = []
-    for assignment in assignments:
-        mask = np.ones(model.dim, dtype=bool)
-        for slot, site in zip(indices, assignment):
-            mask &= positions[slot] == site
-        probabilities.append(float(weights[mask].sum()))
-    probabilities = np.asarray(probabilities)
+    count = len(_scope_indices(model, conditioned_class))
+    assignments = list(itertools.product(range(model.sites), repeat=count))
+    probabilities = np.array(
+        [float(weights[_boundary_mask(model, conditioned_class, a)].sum()) for a in assignments]
+    )
     probabilities = probabilities / probabilities.sum()
     choice = int(rng.choice(len(assignments), p=probabilities))
     return assignments[choice]
@@ -442,7 +460,6 @@ def abl_mass_field(
     beable_class: ParticleClass | None,
     final_sites: Sequence[int],
     times: Sequence[float],
-    threads: int = 1,
 ) -> BeableField:
     """Conditioned mass-density expectation field over (site, time).
 
@@ -453,15 +470,21 @@ def abl_mass_field(
     label).  The field value is the mass-label expectation of the conditional
     distribution, so it lies in [0, total scope mass].
 
+    All projectors are diagonal in the site basis, so outcome ``i`` at time
+    ``t`` has the two-state-vector weight ``||P_c U(T - t) P_i psi(t)||^2``
+    with ``P_i`` and ``P_c`` applied as basis masks; :func:`abl_evolved` is
+    the dense cross-check.
+
     Raises
     ------
     ImpossiblePostSelectionError
         If the chosen final configuration has no Born weight at the final
-        time.
+        time, or no intermediate outcome at some grid point can lead to it.
     """
     conditioned = beable_class.other() if beable_class is not None else None
-    p_final = final_boundary_projector(model, conditioned, final_sites)
-    if born_probability(model.evolved_state(model.t_final), p_final) <= tolerances.TOL.branch_cutoff:
+    final_mask = _boundary_mask(model, conditioned, final_sites)
+    psi_final = model.evolved_state(model.t_final).amplitudes
+    if float(np.sum(np.abs(psi_final[final_mask]) ** 2)) <= tolerances.TOL.branch_cutoff:
         raise ImpossiblePostSelectionError(
             f"final sites {tuple(final_sites)} carry no Born weight at t = {model.t_final}"
         )
@@ -469,28 +492,21 @@ def abl_mass_field(
     for t in times:
         if not 0.0 <= t <= model.t_final:
             raise ValidationError(f"grid time {t} outside [0, {model.t_final}]")
-    hamiltonian = model.hamiltonian if model.hamiltonian is not None else _zero_generator(model)
-    families = [mass_family_at(model, beable_class, x) for x in range(model.sites)]
-
-    def value_at(point: tuple[int, int]) -> float:
-        ti, xi = point
-        scenario = PrePostScenario(
-            initial=model.initial,
-            intermediate=families[xi],
-            final=p_final,
-            hamiltonian=hamiltonian,
-            t_mid=times[ti],
-            t_final=model.t_final,
-        )
-        return abl_expectation(abl_evolved(scenario))
-
-    points = [(ti, xi) for ti in range(len(times)) for xi in range(model.sites)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(value_at, points))
-    else:
-        flat = [value_at(p) for p in points]
-    values = np.array(flat).reshape(len(times), model.sites)
+    outcomes = [_outcome_masks(model, beable_class, x) for x in range(model.sites)]
+    labels = np.array(outcomes[0][0])
+    # (dim, sites * outcomes): column x * len(labels) + i selects outcome i at site x
+    branch_masks = np.array([mask for _, masks in outcomes for mask in masks]).T
+    values = np.empty((len(times), model.sites))
+    for ti, t in enumerate(times):
+        branches = branch_masks * model.evolved_state(t).amplitudes[:, None]
+        late = model.propagate(branches, model.t_final - t)[final_mask]
+        weights = np.sum(np.abs(late) ** 2, axis=0).reshape(model.sites, len(labels))
+        totals = weights.sum(axis=1)
+        if np.any(totals < tolerances.TOL.branch_cutoff):
+            raise ImpossiblePostSelectionError(
+                f"post-selected outcome cannot follow any intermediate outcome at t = {t}"
+            )
+        values[ti] = (weights / totals[:, None]) @ labels
     return BeableField(np.asarray(times), model.site_coordinates(), values)
 
 
@@ -661,20 +677,15 @@ def catastrophe_demo(
             f"flat-field demonstration requires uniform site marginals (spread {spread:.3e})"
         )
     weights = np.abs(state.amplitudes) ** 2
-    positions = model.positions_by_particle()
-    spectrum = mass_spectrum(model, None).values
     per_site: list[ConditionalDistribution] = []
     for site in range(model.sites):
-        mass_weights = []
-        for mass in spectrum:
-            w = 0.0
-            for slot in _mass_group(model, None, mass):
-                w += float(weights[_exclusive_mask(positions, slot, site)].sum())
-            mass_weights.append(w)
+        labels, masks = _outcome_masks(model, None, site)
+        # the last outcome is the complement "no isolated mass here"
+        mass_weights = [float(weights[mask].sum()) for mask in masks[:-1]]
         total = sum(mass_weights)
         if total <= tolerances.TOL.branch_cutoff:
             raise ImpossiblePostSelectionError(f"no isolated particle is ever seen at site {site}")
         per_site.append(
-            ConditionalDistribution(spectrum, tuple(w / total for w in mass_weights))
+            ConditionalDistribution(tuple(labels[:-1]), tuple(w / total for w in mass_weights))
         )
     return [list(per_site) for _ in times]

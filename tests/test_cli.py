@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -12,6 +13,7 @@ from beablesim.cli import emit_field, load_field, main, parse_config, run
 from beablesim.errors import ValidationError
 
 T1 = 0.50390625
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def toy_config(prefix, fmt="csv", photons=1, seed=42, **overrides):
@@ -151,36 +153,18 @@ class TestRunToy:
         assert all(check["passed"] for check in report["checks"])
         assert all("tolerance" in check for check in report["checks"])
 
-    def test_byte_identical_reruns(self, tmp_path):
-        prefix_a = str(tmp_path / "a")
-        prefix_b = str(tmp_path / "b")
-        path_a = write_config(tmp_path, toy_config(prefix_a), "a.json")
-        path_b = write_config(tmp_path, toy_config(prefix_b), "b.json")
-        assert run_quiet(path_a) == 0
-        assert run_quiet(path_b) == 0
-        field_a = open(f"{prefix_a}_field.csv", "rb").read()
-        field_b = open(f"{prefix_b}_field.csv", "rb").read()
-        assert field_a == field_b
-        rays_a = open(f"{prefix_a}_rays.json", "rb").read()
-        rays_b = open(f"{prefix_b}_rays.json", "rb").read()
-        assert rays_a == rays_b
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        prefix_a = str(tmp_path / "serial")
-        prefix_b = str(tmp_path / "threaded")
-        path_a = write_config(tmp_path, classes_config(prefix_a), "serial.json")
-        path_b = write_config(tmp_path, classes_config(prefix_b), "threaded.json")
-        assert run_quiet(path_a, threads=1) == 0
-        assert run_quiet(path_b, threads=4) == 0
-        assert open(f"{prefix_a}_field.csv", "rb").read() == open(f"{prefix_b}_field.csv", "rb").read()
-
-    def test_thread_env_var_override(self, tmp_path, monkeypatch):
-        prefix = str(tmp_path / "env")
-        path = write_config(tmp_path, classes_config(prefix))
-        monkeypatch.setenv("BEABLESIM_THREADS", "3")
-        assert run_quiet(path) == 0
-        monkeypatch.setenv("BEABLESIM_THREADS", "not-a-number")
-        assert run_quiet(path) == 2
+    @pytest.mark.parametrize(
+        "make_config, suffixes",
+        [(toy_config, ("_field.csv", "_rays.json")), (classes_config, ("_field.csv",))],
+        ids=["toy", "lattice"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, make_config, suffixes):
+        outputs = []
+        for name in ("a", "b"):
+            prefix = str(tmp_path / name)
+            assert run_quiet(write_config(tmp_path, make_config(prefix), f"{name}.json")) == 0
+            outputs.append([open(f"{prefix}{suffix}", "rb").read() for suffix in suffixes])
+        assert outputs[0] == outputs[1]
 
     def test_report_bytes_deterministic(self, tmp_path):
         prefix = str(tmp_path / "same")
@@ -273,6 +257,17 @@ class TestRunLattice:
         report = json.loads(open(f"{prefix}_report.json").read())
         assert len(report["selection"]["final_sites"]) == 2
 
+    def test_zero_field_range_residual_is_positive_zero(self, tmp_path):
+        # the t = 0 row of a site product state has exact zeros, so the
+        # field-range residual is an exact zero and must not print as -0.0
+        config = json.loads(open(os.path.join(CONFIGS, "nparticle.json")).read())
+        prefix = str(tmp_path / "npart")
+        assert run_quiet(write_config(tmp_path, config), out=prefix) == 0
+        report = json.loads(open(f"{prefix}_report.json").read())
+        (residual,) = [c["residual"] for c in report["checks"] if c["name"] == "field-range"]
+        assert residual == 0.0
+        assert math.copysign(1.0, residual) == 1.0
+
     def test_explicit_matrix_hamiltonian(self, tmp_path):
         prefix = str(tmp_path / "mat")
         config = classes_config(prefix)
@@ -329,6 +324,33 @@ class TestRunAblCheck:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "sample, keys, literal",
+        [
+            ("toy1.json", ("t1",), "NaN"),
+            ("classes.json", ("hamiltonian", "hopping"), "Infinity"),
+            ("classes.json", ("hamiltonian", "hopping"), "1e400"),
+        ],
+        ids=["toy1-t1-NaN", "classes-hopping-Infinity", "classes-hopping-1e400"],
+    )
+    def test_non_finite_config_number_is_a_validation_error(self, tmp_path, sample, keys, literal):
+        config = json.loads(open(os.path.join(CONFIGS, sample)).read())
+        record = config["parameters"]
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = "NON-FINITE"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"NON-FINITE"', literal))
+        stderr = io.StringIO()
+        assert run(str(path), out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert f"{keys[-1]}: expected a finite number" in stderr.getvalue()
+
+    def test_retired_threads_flag_is_rejected(self, tmp_path):
+        path = write_config(tmp_path, classes_config(str(tmp_path / "out")))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", path, "--threads", "2"])
+        assert exit_info.value.code == 2
+
     def test_missing_config_file(self, tmp_path):
         assert run_quiet(str(tmp_path / "absent.json")) == 2
 

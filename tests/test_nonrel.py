@@ -341,12 +341,36 @@ class TestAblMassField:
         with pytest.raises(ImpossiblePostSelectionError):
             abl_mass_field(model, ParticleClass.B, (0,), [0.5])
 
-    def test_threaded_evaluation_matches_serial(self):
-        model = interacting_bf_model()
-        times = np.linspace(0.0, model.t_final, 3)
-        serial = abl_mass_field(model, ParticleClass.B, (0,), times, threads=1)
-        threaded = abl_mass_field(model, ParticleClass.B, (0,), times, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
+    def test_unscoped_field_matches_dense_engines(self):
+        # three distinguishable particles of unequal mass, every label pinned
+        # at the final time: four outcomes per site and a rank-1 boundary
+        particles = tuple(ParticleSpec(m) for m in (1.0, 2.0, 3.0))
+        model = LatticeModel(
+            sites=3, particles=particles,
+            initial=site_product_state(3, particles, [0, 1, 2]),
+            hamiltonian=hopping_contact_hamiltonian(3, particles, 1.0, 0.0),
+            t_final=1.5,
+        )
+        final_sites = sample_final_sites(model, None, 4)
+        times = np.linspace(0.0, model.t_final, 4)
+        field = abl_mass_field(model, None, final_sites, times)
+        assignments = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        final_family = ProjectorFamily(
+            [final_boundary_projector(model, None, a) for a in assignments],
+            [float(i) for i in range(len(assignments))],
+        )
+        p_final = final_boundary_projector(model, None, final_sites)
+        for i, t in enumerate(times):
+            for x in range(model.sites):
+                scenario = PrePostScenario(
+                    model.initial, mass_family_at(model, None, x), p_final,
+                    model.hamiltonian, float(t), model.t_final,
+                )
+                joint = oracle_joint_distribution(scenario, final_family)
+                oracle = abl_expectation(joint.condition_on_post_selection())
+                assert abs(field.values[i, x] - oracle) <= 1e-12
+                closed = abl_expectation(abl_evolved(scenario))
+                assert abs(field.values[i, x] - closed) <= 1e-12
 
     def test_field_values_within_scope_mass(self):
         model = interacting_bf_model()
