@@ -62,13 +62,15 @@ from .nonrel import (
     uniform_product_state,
 )
 from .relmodels import (
+    MASS_BUDGET_EPSILON,
     NatureChoice,
     SpacetimePoint,
     ToyModelConfig,
     beable_field,
-    gaussian_density,
+    branch_rows,
     in_region_of_indeterminacy,
     information_rays,
+    mass_budget_residuals,
     ray_trajectories,
     ray_visible_outside_cone,
     sample_nature_choice,
@@ -301,23 +303,21 @@ def _build_toy_config(cfg: ScenarioConfig) -> tuple[ToyModelConfig, int | None]:
         x_max=_number(grid_record, "config.grid", "x_max"),
         x_steps=_integer(grid_record, "config.grid", "x_steps", minimum=2),
     )
-    kwargs = {}
+    # parsed outside the ``try`` below: their errors already name their key
+    kwargs = dict(
+        x1=_number(record, path, "x1"),
+        x2=_number(record, path, "x2"),
+        sigma1=_number(record, path, "sigma1", exclusive_minimum=0.0),
+        sigma2=_number(record, path, "sigma2", exclusive_minimum=0.0),
+        amp_a=_complex(record, path, "amp_a"),
+        amp_b=_complex(record, path, "amp_b"),
+        mass=_number(record, path, "mass", exclusive_minimum=0.0),
+        t1=_number(record, path, "t1"),
+    )
     if "separation_ratio" in record:
         kwargs["separation_ratio"] = _number(record, path, "separation_ratio", exclusive_minimum=0.0)
     try:
-        toy = ToyModelConfig(
-            x1=_number(record, path, "x1"),
-            x2=_number(record, path, "x2"),
-            sigma1=_number(record, path, "sigma1", exclusive_minimum=0.0),
-            sigma2=_number(record, path, "sigma2", exclusive_minimum=0.0),
-            amp_a=_complex(record, path, "amp_a"),
-            amp_b=_complex(record, path, "amp_b"),
-            mass=_number(record, path, "mass", exclusive_minimum=0.0),
-            t1=_number(record, path, "t1"),
-            photons=1 if cfg.kind == "toy1" else 2,
-            grid=grid,
-            **kwargs,
-        )
+        toy = ToyModelConfig(photons=1 if cfg.kind == "toy1" else 2, grid=grid, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     branch = _integer(record, path, "branch", minimum=1, maximum=2) if "branch" in record else None
@@ -325,54 +325,28 @@ def _build_toy_config(cfg: ScenarioConfig) -> tuple[ToyModelConfig, int | None]:
 
 
 def _toy_checks(toy: ToyModelConfig, choice: NatureChoice, field: BeableField) -> list[dict]:
-    ts, xs, values = field.ts, field.xs, field.values
-    dens1 = gaussian_density(xs, toy.x1, toy.sigma1)
-    dens2 = gaussian_density(xs, toy.x2, toy.sigma2)
-    inside_row = toy.mass * (toy.weight_a * dens1 + toy.weight_b * dens2)
-    outside_row = toy.mass * (dens1 if choice is NatureChoice.CLOUD1 else dens2)
+    values = field.values
+    inside_row, outside_row = branch_rows(toy, choice, field.xs)
     scale = np.maximum(np.maximum(inside_row, outside_row), 1e-300)
     nearest = np.minimum(
         np.abs(values - inside_row[None, :]), np.abs(values - outside_row[None, :])
     )
     dichotomy = float(np.max(nearest / scale[None, :]))
 
-    inside = np.zeros_like(values, dtype=bool)
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            inside[i, j] = in_region_of_indeterminacy(toy, SpacetimePoint(float(t), float(x)))
+    # the closed-form wedge and the rays' visibility are independent codes of
+    # one region; the agreement check counts the grid points where they differ
+    grid = SpacetimePoint(field.ts[:, None], field.xs[None, :])
+    inside = in_region_of_indeterminacy(toy, grid)
+    hidden = ~np.logical_or.reduce(
+        [ray_visible_outside_cone(ray, grid) for ray in information_rays(toy)]
+    )
+    disagreements = int(np.count_nonzero(hidden != inside))
 
-    rays = information_rays(toy)
-    disagreements = 0
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            point = SpacetimePoint(float(t), float(x))
-            hidden = not any(ray_visible_outside_cone(ray, point) for ray in rays)
-            if hidden != inside[i, j]:
-                disagreements += 1
-
-    epsilon = 1e-6
-    uniform_budget = 0.0
-    mixed_violation = 0.0
-    h = float(xs[1] - xs[0])
-    w_min = min(toy.weight_a, toy.weight_b)
-    w_max = max(toy.weight_a, toy.weight_b)
-    for i in range(ts.size):
-        integral = field.slice_integral(i)
-        if inside[i].all() or not inside[i].any():
-            uniform_budget = max(uniform_budget, abs(integral - toy.mass) / toy.mass)
-            continue
-        slack = 0.0
-        for j in np.nonzero(inside[i, :-1] != inside[i, 1:])[0]:
-            slack += 0.5 * h * abs(float(values[i, j + 1] - values[i, j]))
-        floor = w_min * toy.mass - epsilon * toy.mass - slack
-        ceiling = (1.0 + w_max) * toy.mass + epsilon * toy.mass + slack
-        violation = max(floor - integral, integral - ceiling, 0.0) / toy.mass
-        mixed_violation = max(mixed_violation, violation)
-
+    uniform_budget, mixed_violation = mass_budget_residuals(toy, field, inside)
     return [
         _check("field-dichotomy", dichotomy, 1e-12),
         _check("roi-visibility-agreement", float(disagreements), 0.0),
-        _check("uniform-slice-mass-budget", uniform_budget, epsilon),
+        _check("uniform-slice-mass-budget", uniform_budget, MASS_BUDGET_EPSILON),
         _check("mixed-slice-mass-budget", mixed_violation, 0.0),
     ]
 
@@ -481,13 +455,14 @@ def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeMod
     else:
         hamiltonian = None
     spacing = _number(record, path, "spacing", exclusive_minimum=0.0) if "spacing" in record else 1.0
+    t_final = _number(record, path, "t_final", minimum=0.0)
     try:
         return LatticeModel(
             sites=sites,
             particles=particles,
             initial=initial,
             hamiltonian=hamiltonian,
-            t_final=_number(record, path, "t_final", minimum=0.0),
+            t_final=t_final,
             spacing=spacing,
         )
     except ValidationError as exc:
@@ -722,6 +697,9 @@ def run(
             cfg = ScenarioConfig(cfg.kind, cfg.parameters, cfg.seed, cfg.grid, cfg.out_prefix, fmt)
         parsed_elapsed = time.perf_counter() - started
 
+        directory = os.path.dirname(cfg.out_prefix)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
         phase_started = time.perf_counter()
         checks, selection, artifacts = _RUNNERS[cfg.kind](cfg)
         run_elapsed = time.perf_counter() - phase_started
@@ -736,9 +714,6 @@ def run(
             "artifacts": artifacts,
         }
         report_path = f"{cfg.out_prefix}_report.json"
-        directory = os.path.dirname(report_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         with open(report_path, "w", encoding="ascii") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class SpacetimeGrid:
     x_steps: int
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.t_min, self.t_max, self.x_min, self.x_max)):
+            raise ValidationError("grid bounds must be finite")
         if self.t_steps < 1 or self.x_steps < 1:
             raise ValidationError("grid needs at least one point per axis")
         if self.t_max < self.t_min or self.x_max < self.x_min:

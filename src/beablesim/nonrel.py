@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -83,8 +84,8 @@ class ParticleSpec:
     particle_class: ParticleClass = ParticleClass.B
 
     def __post_init__(self) -> None:
-        if not self.mass > 0.0:
-            raise ValidationError(f"particle mass must be positive, got {self.mass!r}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValidationError(f"particle mass must be positive and finite, got {self.mass!r}")
 
 
 def _swap_particles(amplitudes: np.ndarray, sites: int, count: int, i: int, j: int) -> np.ndarray:
@@ -116,10 +117,10 @@ class LatticeModel:
             raise ValidationError("lattice needs at least one site")
         if not self.particles:
             raise ValidationError("lattice model needs at least one particle")
-        if not self.spacing > 0.0:
-            raise ValidationError("lattice spacing must be positive")
-        if self.t_final < 0.0:
-            raise ValidationError("final time must be nonnegative")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValidationError("lattice spacing must be positive and finite")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValidationError("final time must be nonnegative and finite")
         dim = self.sites ** len(self.particles)
         if dim > tolerances.TOL.dimension_cap:
             raise CapacityError(

@@ -24,6 +24,7 @@ for plotting.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ __all__ = [
     "information_rays",
     "in_region_of_indeterminacy",
     "collapse_time_at",
+    "branch_rows",
+    "mass_budget_residuals",
     "beable_field",
     "born_reduction_check",
     "rel_conditional",
@@ -59,6 +62,11 @@ __all__ = [
 #: Gaussian tails are dropped beyond this many widths; the discarded mass is
 #: below 1e-14 of the total.
 GAUSSIAN_CUTOFF_SIGMAS = 8.0
+
+#: Relative slack of the slice mass budget: a uniform slice integrates to M
+#: within ``MASS_BUDGET_EPSILON * M``, and a mixed slice's interval is widened
+#: by the same amount.
+MASS_BUDGET_EPSILON = 1e-6
 
 
 class NatureChoice(enum.Enum):
@@ -115,6 +123,11 @@ class ToyModelConfig:
     separation_ratio: float = 0.1
 
     def __post_init__(self) -> None:
+        reals = (self.x1, self.x2, self.sigma1, self.sigma2, self.mass, self.t1,
+                 self.separation_ratio)
+        if not (all(map(math.isfinite, reals)) and cmath.isfinite(self.amp_a)
+                and cmath.isfinite(self.amp_b)):
+            raise ValidationError("toy-model parameters must be finite")
         if not self.x1 < self.x2:
             raise ValidationError("cloud centres must satisfy x1 < x2")
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
@@ -214,13 +227,13 @@ def sample_nature_choice(cfg: ToyModelConfig, rng: np.random.Generator | int) ->
     return NatureChoice.CLOUD1 if rng.random() < cfg.weight_a else NatureChoice.CLOUD2
 
 
-def ray_visible_outside_cone(ray: LightRay, point: SpacetimePoint) -> bool:
+def ray_visible_outside_cone(ray: LightRay, point: SpacetimePoint):
     """Whether the ray stays outside ``point``'s future light cone forever.
 
     In null coordinates a left-mover keeps ``t + x`` fixed and a right-mover
     keeps ``t - x`` fixed, so visibility is a strict comparison of the
     corresponding null coordinate of the point against the ray's; a ray on the
-    cone boundary counts as not visible.
+    cone boundary counts as not visible.  Array coordinates give a mask.
     """
     if ray.direction is RayDirection.LEFT:
         return point.t + point.x > ray.origin.t + ray.origin.x
@@ -241,16 +254,18 @@ def information_rays(cfg: ToyModelConfig) -> tuple[LightRay, ...]:
     return (left, LightRay(SpacetimePoint(cfg.t1, cfg.x2), RayDirection.RIGHT))
 
 
-def in_region_of_indeterminacy(cfg: ToyModelConfig, point: SpacetimePoint) -> bool:
+def in_region_of_indeterminacy(cfg: ToyModelConfig, point: SpacetimePoint):
     """Whether no information-carrying ray is visible outside the point's cone.
 
     Closed form, strict inequalities (boundary points are resolved):
     one photon ``t < t1 - (x - x1)``; two photons additionally
-    ``t < t1 + (x - x2)``, a triangle.
+    ``t < t1 + (x - x2)``, a triangle.  A point whose ``t`` and ``x`` are
+    broadcastable arrays gives the boolean mask over their grid.
     """
+    behind_first = point.t < cfg.t1 - (point.x - cfg.x1)
     if cfg.photons == 1:
-        return point.t < cfg.t1 - (point.x - cfg.x1)
-    return point.t < cfg.t1 + (point.x - cfg.x2) and point.t < cfg.t1 - (point.x - cfg.x1)
+        return behind_first
+    return (point.t < cfg.t1 + (point.x - cfg.x2)) & behind_first
 
 
 def collapse_time_at(cfg: ToyModelConfig, x: float) -> float:
@@ -272,76 +287,71 @@ def gaussian_density(x, center: float, sigma: float):
     return np.where(np.abs(x - center) <= GAUSSIAN_CUTOFF_SIGMAS * sigma, body, 0.0)
 
 
-def _branch_densities(cfg: ToyModelConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        gaussian_density(xs, cfg.x1, cfg.sigma1),
-        gaussian_density(xs, cfg.x2, cfg.sigma2),
-    )
+def branch_rows(cfg: ToyModelConfig, choice: NatureChoice, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Mass density at positions ``xs`` inside and outside the region of indeterminacy.
+
+    Inside: the Born-weighted average ``M |a|^2 |psi1|^2 + M |b|^2 |psi2|^2``.
+    Outside: ``M |psi_k|^2`` of the chosen cloud.
+    """
+    dens1 = gaussian_density(xs, cfg.x1, cfg.sigma1)
+    dens2 = gaussian_density(xs, cfg.x2, cfg.sigma2)
+    inside = cfg.mass * (cfg.weight_a * dens1 + cfg.weight_b * dens2)
+    outside = cfg.mass * (dens1 if choice is NatureChoice.CLOUD1 else dens2)
+    return inside, outside
 
 
 def beable_field(cfg: ToyModelConfig, choice: NatureChoice) -> BeableField:
     """Mass-density expectation field on the configured grid.
 
-    Inside the region of indeterminacy every point carries the Born-weighted
-    average ``M |a|^2 |psi1|^2 + M |b|^2 |psi2|^2``; outside it carries
-    ``M |psi_k|^2`` for the chosen cloud.  Slices fully inside or fully
-    outside the region integrate to M.  While the collapse front crosses the
-    grid a slice is "partly present": it loses the unchosen weight of whatever
-    cloud mass is still indeterminate, and it gains the unchosen weight of any
-    chosen-cloud mass already resolved, so slice integrals range over
-    ``[min(|a|^2,|b|^2) M, (1 + max(|a|^2,|b|^2)) M]``.  The field enforces
-    that budget per slice, widened by the first-order trapezoid error of the
-    step the front cuts into the sampled values.
+    Inside the region of indeterminacy every point carries the inside row of
+    :func:`branch_rows`, outside it the chosen cloud's row.  Slices fully
+    inside or fully outside the region integrate to M.  While the collapse
+    front crosses the grid a slice is "partly present": it loses the unchosen
+    weight of whatever cloud mass is still indeterminate, and it gains the
+    unchosen weight of any chosen-cloud mass already resolved, so slice
+    integrals range over ``[min(|a|^2,|b|^2) M, (1 + max(|a|^2,|b|^2)) M]``.
+    The field enforces that budget (:func:`mass_budget_residuals`).
     """
     ts = cfg.grid.times()
     xs = cfg.grid.positions()
-    dens1, dens2 = _branch_densities(cfg, xs)
-    inside_row = cfg.mass * (cfg.weight_a * dens1 + cfg.weight_b * dens2)
-    outside_row = cfg.mass * (dens1 if choice is NatureChoice.CLOUD1 else dens2)
-    # same arithmetic as the scalar predicate, broadcast over the grid
-    if cfg.photons == 1:
-        inside = ts[:, None] < cfg.t1 - (xs[None, :] - cfg.x1)
-    else:
-        inside = (ts[:, None] < cfg.t1 + (xs[None, :] - cfg.x2)) & (
-            ts[:, None] < cfg.t1 - (xs[None, :] - cfg.x1)
+    inside_row, outside_row = branch_rows(cfg, choice, xs)
+    inside = in_region_of_indeterminacy(cfg, SpacetimePoint(ts[:, None], xs[None, :]))
+    field = BeableField(ts, xs, np.where(inside, inside_row, outside_row))
+    uniform, mixed = mass_budget_residuals(cfg, field, inside)
+    if uniform > MASS_BUDGET_EPSILON or mixed > 0.0:
+        raise InvariantBreachError(
+            f"slice mass budget breached: uniform-slice residual {uniform!r} "
+            f"(tolerance {MASS_BUDGET_EPSILON}), mixed-slice residual {mixed!r}"
         )
-    values = np.where(inside, inside_row[None, :], outside_row[None, :])
-    field = BeableField(ts, xs, values)
-    _check_mass_budget(cfg, field, inside)
     return field
 
 
-def _check_mass_budget(cfg: ToyModelConfig, field: BeableField, inside: np.ndarray) -> None:
-    epsilon = 1e-6 * cfg.mass
-    w_min = min(cfg.weight_a, cfg.weight_b)
-    w_max = max(cfg.weight_a, cfg.weight_b)
-    for i in range(field.ts.size):
-        integral = field.slice_integral(i)
-        uniform = (not inside[i].any()) or inside[i].all()
-        if uniform:
-            if abs(integral - cfg.mass) > epsilon:
-                raise InvariantBreachError(
-                    f"uniform slice {i} integrates to {integral!r}, expected {cfg.mass!r}"
-                )
-            continue
-        slack = epsilon + _front_step_slack(field.xs, field.values[i], inside[i])
-        floor = w_min * cfg.mass - slack
-        ceiling = (1.0 + w_max) * cfg.mass + slack
-        if not floor <= integral <= ceiling:
-            raise InvariantBreachError(
-                f"slice {i} integrates to {integral!r}, outside [{floor!r}, {ceiling!r}]"
-            )
+def mass_budget_residuals(
+    cfg: ToyModelConfig, field: BeableField, inside: np.ndarray
+) -> tuple[float, float]:
+    """Worst uniform-slice and mixed-slice mass-budget residuals, relative to M.
 
-
-def _front_step_slack(xs: np.ndarray, values: np.ndarray, inside_row: np.ndarray) -> float:
-    """First-order trapezoid error bound from collapse-front steps in a slice."""
-    if xs.size < 2:
-        return 0.0
-    h = float(xs[1] - xs[0])
-    slack = 0.0
-    for j in np.nonzero(inside_row[:-1] != inside_row[1:])[0]:
-        slack += 0.5 * h * abs(float(values[j + 1] - values[j]))
-    return slack
+    ``inside`` is the region-of-indeterminacy mask of the field's grid.  A
+    slice wholly inside or wholly outside the region should integrate to M;
+    its residual is ``|integral - M| / M``.  A slice the collapse front
+    crosses should lie in ``[min(|a|^2,|b|^2) M, (1 + max(|a|^2,|b|^2)) M]``,
+    widened by ``MASS_BUDGET_EPSILON * M`` and by the first-order trapezoid
+    error of the steps the front cuts into the sampled values; its residual
+    is its distance outside that interval over M.
+    """
+    mass = cfg.mass
+    integrals = np.array([field.slice_integral(i) for i in range(field.ts.size)])
+    uniform = inside.all(axis=1) | ~inside.any(axis=1)
+    h = float(field.xs[1] - field.xs[0])
+    steps = inside[:, :-1] != inside[:, 1:]
+    slack = np.where(steps, 0.5 * h * np.abs(np.diff(field.values, axis=1)), 0.0).sum(axis=1)
+    epsilon = MASS_BUDGET_EPSILON * mass
+    floor = min(cfg.weight_a, cfg.weight_b) * mass - epsilon - slack
+    ceiling = (1.0 + max(cfg.weight_a, cfg.weight_b)) * mass + epsilon + slack
+    outside_interval = np.maximum(floor - integrals, integrals - ceiling)[~uniform]
+    uniform_residual = np.abs(integrals[uniform] - mass).max(initial=0.0) / mass
+    mixed_residual = outside_interval.max(initial=0.0) / mass
+    return float(uniform_residual), float(mixed_residual)
 
 
 def born_reduction_check(cfg: ToyModelConfig, point: SpacetimePoint) -> ConditionalDistribution:

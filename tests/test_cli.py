@@ -8,8 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from beablesim import BeableField
-from beablesim.cli import emit_field, load_field, main, parse_config, run
+from beablesim import (
+    BeableField,
+    NatureChoice,
+    SpacetimeGrid,
+    SpacetimePoint,
+    ToyModelConfig,
+    beable_field,
+    in_region_of_indeterminacy,
+)
+from beablesim.cli import _toy_checks, emit_field, load_field, main, parse_config, run
 from beablesim.errors import ValidationError
 
 T1 = 0.50390625
@@ -207,6 +215,29 @@ class TestRunToy:
         late = field.slice_integral(field.ts.size - 1)
         assert abs(late - 2.0) <= 1e-6 * 2.0
 
+    @pytest.mark.parametrize("photons", [1, 2])
+    @pytest.mark.parametrize("slice_kind", ["uniform", "mixed"])
+    def test_scaled_slice_fails_its_mass_budget_check(self, photons, slice_kind):
+        toy = ToyModelConfig(
+            x1=0.0, x2=1.0, sigma1=0.05, sigma2=0.05,
+            amp_a=complex(np.sqrt(0.3)), amp_b=complex(np.sqrt(0.7)), mass=2.0, t1=T1,
+            photons=photons, grid=SpacetimeGrid(-3.0, 3.0, 30, -2.0, 3.0, 260),
+        )
+        field = beable_field(toy, NatureChoice.CLOUD1)
+        inside = in_region_of_indeterminacy(toy, SpacetimePoint(field.ts[:, None], field.xs[None, :]))
+        uniform_rows = np.nonzero(inside.all(axis=1) | ~inside.any(axis=1))[0]
+        mixed_rows = np.nonzero(inside.any(axis=1) & ~inside.all(axis=1))[0]
+        rows = uniform_rows if slice_kind == "uniform" else mixed_rows
+        values = field.values.copy()
+        values[rows[len(rows) // 2]] *= 1.01 if slice_kind == "uniform" else 0.01
+        checks = _toy_checks(toy, NatureChoice.CLOUD1, BeableField(field.ts, field.xs, values))
+        passed = {check["name"]: check["passed"] for check in checks}
+        assert passed["roi-visibility-agreement"]
+        assert passed["uniform-slice-mass-budget"] is (slice_kind != "uniform")
+        assert passed["mixed-slice-mass-budget"] is (slice_kind != "mixed")
+        unperturbed = _toy_checks(toy, NatureChoice.CLOUD1, field)
+        assert all(check["passed"] for check in unperturbed)
+
     def test_seed_override_changes_report(self, tmp_path):
         prefix = str(tmp_path / "run")
         path = write_config(tmp_path, toy_config(prefix, seed=3))
@@ -344,6 +375,30 @@ class TestExitCodes:
         stderr = io.StringIO()
         assert run(str(path), out=str(tmp_path / "out"), stderr=stderr) == 2
         assert f"{keys[-1]}: expected a finite number" in stderr.getvalue()
+
+    @pytest.mark.parametrize(
+        "sample, key",
+        [("toy1.json", "t1"), ("nparticle.json", "t_final")],
+        ids=["toy1-t1", "nparticle-t_final"],
+    )
+    def test_parameter_error_names_its_key_once(self, tmp_path, sample, key):
+        config = json.loads(open(os.path.join(CONFIGS, sample)).read())
+        config["parameters"][key] = "NON-FINITE"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"NON-FINITE"', "NaN"))
+        stderr = io.StringIO()
+        assert run(str(path), out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert stderr.getvalue() == f"error: config.parameters.{key}: expected a finite number\n"
+
+    @pytest.mark.parametrize(
+        "sample", sorted(name for name in os.listdir(CONFIGS) if name.endswith(".json"))
+    )
+    def test_sample_config_runs_from_a_fresh_directory(self, tmp_path, monkeypatch, sample):
+        # every sample writes under out/, which the run itself must create
+        monkeypatch.chdir(tmp_path)
+        assert run_quiet(os.path.join(CONFIGS, sample)) == 0
+        prefix = json.loads(open(os.path.join(CONFIGS, sample)).read())["output"]["prefix"]
+        assert os.path.isfile(f"{prefix}_report.json")
 
     def test_retired_threads_flag_is_rejected(self, tmp_path):
         path = write_config(tmp_path, classes_config(str(tmp_path / "out")))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beablesim import (
+    BeableField,
     ContractError,
     LightRay,
     NatureChoice,
@@ -25,7 +26,7 @@ from beablesim import (
     sample_nature_choice,
 )
 from beablesim.abl import ConditionalDistribution
-from beablesim.relmodels import gaussian_density
+from beablesim.relmodels import gaussian_density, mass_budget_residuals
 
 GRID = SpacetimeGrid(t_min=-3.0, t_max=3.0, t_steps=41, x_min=-2.0, x_max=3.0, x_steps=251)
 
@@ -206,6 +207,27 @@ class TestRegionOfIndeterminacy:
                 hidden = not any(ray_visible_outside_cone(ray, point) for ray in rays)
                 assert in_region_of_indeterminacy(cfg, point) == hidden
 
+    def test_array_form_matches_scalar_form_on_the_fronts(self):
+        # dyadic steps with t1 = 0.5 put grid points exactly on both fronts,
+        # t + x = t1 + x1 and t - x = t1 - x2
+        ts = np.linspace(-2.0, 3.0, 41)
+        xs = np.linspace(-1.5, 2.5, 33)
+        on_first = np.isclose(ts[:, None] + xs[None, :], 0.5, rtol=0.0, atol=0.0)
+        on_second = np.isclose(ts[:, None] - xs[None, :], -0.5, rtol=0.0, atol=0.0)
+        assert on_first.any() and on_second.any()
+        for photons in (1, 2):
+            cfg = make_config(photons=photons, t1=0.5)
+            mask = in_region_of_indeterminacy(cfg, SpacetimePoint(ts[:, None], xs[None, :]))
+            assert mask.shape == (ts.size, xs.size) and mask.dtype == bool
+            for i, t in enumerate(ts):
+                for j, x in enumerate(xs):
+                    scalar = in_region_of_indeterminacy(cfg, SpacetimePoint(float(t), float(x)))
+                    assert type(scalar) is bool and mask[i, j] == scalar
+            assert not mask[on_first].any()
+            if photons == 2:
+                assert not mask[on_second].any()
+            assert 0 < np.count_nonzero(mask) < mask.size
+
     def test_monotone_resolution(self):
         rng = np.random.default_rng(56)
         for photons in (1, 2):
@@ -308,6 +330,24 @@ class TestBeableField:
         gap_time = cfg.t1 - 0.5 * (cfg.x2 - cfg.x1)
         i = int(np.argmin(np.abs(field.ts - gap_time)))
         assert abs(field.slice_integral(i) - 1.3 * cfg.mass) <= 1e-3 * cfg.mass
+
+    @pytest.mark.parametrize("photons", [1, 2])
+    def test_mass_budget_residuals(self, photons):
+        cfg = make_config(photons=photons, weight_a=0.3)
+        field = beable_field(cfg, NatureChoice.CLOUD1)
+        inside = in_region_of_indeterminacy(cfg, SpacetimePoint(field.ts[:, None], field.xs[None, :]))
+        uniform, mixed = mass_budget_residuals(cfg, field, inside)
+        assert 0.0 <= uniform <= 1e-12
+        assert mixed == 0.0
+
+        mixed_rows = np.nonzero(inside.any(axis=1) & ~inside.all(axis=1))[0]
+        values = field.values.copy()
+        assert inside[0].all()
+        values[0] *= 1.01
+        values[mixed_rows[len(mixed_rows) // 2]] *= 0.01
+        uniform, mixed = mass_budget_residuals(cfg, BeableField(field.ts, field.xs, values), inside)
+        assert abs(uniform - 0.01) <= 1e-9
+        assert mixed > 0.25
 
     def test_translation_covariance(self):
         cfg = make_config()
