@@ -30,12 +30,14 @@ from .errors import (
 from .fields import BeableField, SpacetimeGrid
 from .hilbert import (
     LinearOperator,
+    Projector,
     ProjectorFamily,
     StateVector,
     born_probability,
     evolution_operator,
     evolve,
     luders_collapse,
+    propagate,
     tensor_product,
     validate_projector,
 )

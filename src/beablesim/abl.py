@@ -33,13 +33,15 @@ from . import tolerances
 from .errors import ImpossiblePostSelectionError, InvariantBreachError, ValidationError
 from .hilbert import (
     LinearOperator,
+    Projector,
     ProjectorFamily,
     StateVector,
+    _require_hermitian,
     born_probability,
     evolution_operator,
     evolve,
     luders_collapse,
-    validate_projector,
+    validate_projector,  # noqa: F401 - bench/tracing.py wraps abl.validate_projector
 )
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "abl_projective",
     "abl_evolved",
     "abl_expectation",
+    "measurement_branches",
     "oracle_joint_distribution",
     "random_scenario",
 ]
@@ -106,7 +109,7 @@ class PrePostScenario:
 
     initial: StateVector
     intermediate: ProjectorFamily
-    final: LinearOperator
+    final: Projector
     hamiltonian: LinearOperator
     t_mid: float
     t_final: float
@@ -115,13 +118,8 @@ class PrePostScenario:
         dim = self.initial.dim
         if self.intermediate.dim != dim or self.final.dim != dim or self.hamiltonian.dim != dim:
             raise ValidationError("scenario components must share one dimension")
-        validate_projector(self.final, what="post-selection projector")
-        if not self.hamiltonian.hermitian:
-            residue = float(
-                np.max(np.abs(self.hamiltonian.matrix - self.hamiltonian.matrix.conj().T))
-            )
-            if residue > tolerances.TOL.scalar:
-                raise ValidationError(f"scenario generator is not Hermitian (residue {residue:.3e})")
+        object.__setattr__(self, "final", Projector.of(self.final, what="post-selection projector"))
+        _require_hermitian(self.hamiltonian)
         if not 0.0 <= self.t_mid <= self.t_final:
             raise ValidationError(
                 f"measurement times must satisfy 0 <= t_mid <= t_final, got {self.t_mid}, {self.t_final}"
@@ -158,8 +156,8 @@ def abl_projective(
     sum_j Tr(P_c P_j P_a P_j)`` with frozen dynamics.  ``p_initial`` must be
     the rank-1 projector onto the pre-selected state.
     """
-    validate_projector(p_initial, what="pre-selection projector")
-    validate_projector(p_final, what="post-selection projector")
+    p_initial = Projector.of(p_initial, what="pre-selection projector")
+    p_final = Projector.of(p_final, what="post-selection projector")
     if p_initial.dim != family.dim or p_final.dim != family.dim:
         raise ValidationError("projectors and family must share one dimension")
     rank = complex(np.trace(p_initial.matrix)).real
@@ -240,16 +238,8 @@ class JointDistribution:
 
     def condition_on_final(self, index: int) -> ConditionalDistribution:
         """Distribution of the intermediate outcome given final outcome ``index``."""
-        column = self.table[:, index]
-        total = 0.0
-        for v in column:
-            total += float(v)
-        if total < tolerances.TOL.branch_cutoff:
-            raise ImpossiblePostSelectionError(
-                f"final outcome {index} has total probability {total!r}"
-            )
-        return ConditionalDistribution(
-            self.intermediate_labels, tuple(float(v) / total for v in column)
+        return _weights_to_distribution(
+            self.intermediate_labels, [float(v) for v in self.table[:, index]]
         )
 
     def condition_on_post_selection(self) -> ConditionalDistribution:
@@ -263,31 +253,44 @@ def _locate_member(family: ProjectorFamily, projector: LinearOperator) -> int:
     raise ValidationError("final family does not contain the scenario's post-selection projector")
 
 
+def measurement_branches(scenario: PrePostScenario) -> list[tuple[float, StateVector | None]]:
+    """The literal measurement sequence: evolve, Born weight, collapse, evolve.
+
+    Returns each intermediate outcome's Born probability with its collapsed
+    state at the final time, or ``None`` for a branch at or below the cutoff.
+    """
+    psi_mid = evolve(scenario.hamiltonian, scenario.t_mid, scenario.initial)
+    branches: list[tuple[float, StateVector | None]] = []
+    for member in scenario.intermediate.members:
+        p_branch = born_probability(psi_mid, member)
+        if p_branch <= tolerances.TOL.branch_cutoff:
+            branches.append((p_branch, None))
+            continue
+        collapsed = luders_collapse(psi_mid, member)
+        psi_final = evolve(scenario.hamiltonian, scenario.t_final - scenario.t_mid, collapsed)
+        branches.append((p_branch, psi_final))
+    return branches
+
+
 def oracle_joint_distribution(
     scenario: PrePostScenario, final_family: ProjectorFamily
 ) -> JointDistribution:
     """Exact joint distribution from the literal measurement sequence.
 
-    Evolves the initial state to the measurement time, applies the Born rule
-    and Lüders collapse for each intermediate outcome, evolves each branch to
-    the final time, and applies the Born rule for each member of
-    ``final_family`` (which must contain the scenario's post-selection
-    projector).  Intermediate branches of numerically zero probability
+    Applies the Born rule for each member of ``final_family`` (which must
+    contain the scenario's post-selection projector) to every branch of
+    :func:`measurement_branches`; branches of numerically zero probability
     contribute all-zero rows.
     """
     if final_family.dim != scenario.initial.dim:
         raise ValidationError("final family dimension mismatch")
     pc_index = _locate_member(final_family, scenario.final)
-    psi_mid = evolve(scenario.hamiltonian, scenario.t_mid, scenario.initial)
-    rows = []
-    for member in scenario.intermediate.members:
-        p_branch = born_probability(psi_mid, member)
-        if p_branch <= tolerances.TOL.branch_cutoff:
-            rows.append([0.0] * len(final_family))
-            continue
-        collapsed = luders_collapse(psi_mid, member)
-        psi_final = evolve(scenario.hamiltonian, scenario.t_final - scenario.t_mid, collapsed)
-        rows.append([p_branch * born_probability(psi_final, q) for q in final_family.members])
+    rows = [
+        [0.0] * len(final_family)
+        if psi_final is None
+        else [p_branch * born_probability(psi_final, q) for q in final_family.members]
+        for p_branch, psi_final in measurement_branches(scenario)
+    ]
     return JointDistribution(
         scenario.intermediate.labels,
         final_family.labels,
@@ -318,19 +321,19 @@ def random_scenario(
     gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     hamiltonian = LinearOperator((gaussian + gaussian.conj().T) / 2.0, hermitian=True)
     basis = _random_unitary(rng, dim)
-    members: list[LinearOperator] = []
+    members: list[Projector] = []
     start = 0
     while start < dim:
         block = int(rng.integers(1, dim - start + 1))
         vecs = basis[:, start : start + block]
-        members.append(LinearOperator(vecs @ vecs.conj().T, hermitian=True))
+        members.append(Projector(vecs @ vecs.conj().T))
         start += block
     family = ProjectorFamily(members, [float(i) for i in range(len(members))])
     initial = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     final_basis = _random_unitary(rng, dim)
     final_rank = int(rng.integers(1, dim))
     final_vecs = final_basis[:, :final_rank]
-    final = LinearOperator(final_vecs @ final_vecs.conj().T, hermitian=True)
+    final = Projector(final_vecs @ final_vecs.conj().T)
     t_final = float(rng.uniform(0.1, time_span))
     t_mid = float(rng.uniform(0.0, t_final))
     return PrePostScenario(initial, family, final, hamiltonian, t_mid, t_final)

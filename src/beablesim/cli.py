@@ -8,7 +8,7 @@ status:
 * 0  success, all self-checks within tolerance
 * 2  config or physics-parameter validation failure
 * 3  impossible post-selection (a physics-level outcome, not a user error)
-* 4  internal invariant breach or failed self-check
+* 4  internal invariant breach (a numpy ``LinAlgError`` too) or failed self-check
 * 5  unwritable output path
 
 Every residual in the report is recomputed from the *emitted* files, not from
@@ -35,6 +35,7 @@ from .abl import (
     PrePostScenario,
     abl_evolved,
     abl_expectation,
+    measurement_branches,
     oracle_joint_distribution,
     random_scenario,
 )
@@ -46,7 +47,7 @@ from .errors import (
     ZeroProbabilityBranchError,
 )
 from .fields import BeableField, SpacetimeGrid
-from .hilbert import LinearOperator, ProjectorFamily
+from .hilbert import LinearOperator, ProjectorFamily, born_probability
 from .nonrel import (
     LatticeModel,
     ParticleClass,
@@ -575,29 +576,18 @@ def _monte_carlo_frequencies(scenario, trials: int, rng: np.random.Generator):
     returns the post-selected intermediate-outcome frequencies with the count
     of accepted runs.
     """
-    from .hilbert import born_probability, evolve, luders_collapse
-
-    psi_mid = evolve(scenario.hamiltonian, scenario.t_mid, scenario.initial)
-    members = scenario.intermediate.members
-    branch_p = np.array([born_probability(psi_mid, m) for m in members])
+    branches = measurement_branches(scenario)
+    branch_p = np.array([p for p, _ in branches])
     branch_p = branch_p / branch_p.sum()
-    final_p = []
-    for member, p in zip(members, branch_p):
-        if p <= tolerances.TOL.branch_cutoff:
-            final_p.append(0.0)
-            continue
-        collapsed = luders_collapse(psi_mid, member)
-        psi_final = evolve(
-            scenario.hamiltonian, scenario.t_final - scenario.t_mid, collapsed
-        )
-        final_p.append(born_probability(psi_final, scenario.final))
-    final_p = np.array(final_p)
-    outcomes = rng.choice(len(members), size=trials, p=branch_p)
+    final_p = np.array(
+        [0.0 if psi is None else born_probability(psi, scenario.final) for _, psi in branches]
+    )
+    outcomes = rng.choice(len(branches), size=trials, p=branch_p)
     accepted_mask = rng.random(trials) < final_p[outcomes]
     accepted = outcomes[accepted_mask]
     if accepted.size == 0:
         return None, 0
-    counts = np.bincount(accepted, minlength=len(members))
+    counts = np.bincount(accepted, minlength=len(branches))
     return counts / accepted.size, int(accepted.size)
 
 
@@ -735,7 +725,7 @@ def run(
     except (ImpossiblePostSelectionError, ZeroProbabilityBranchError) as exc:
         print(f"impossible post-selection: {exc}", file=stderr)
         return 3
-    except InvariantBreachError as exc:
+    except (InvariantBreachError, np.linalg.LinAlgError) as exc:
         print(f"invariant breach: {exc}", file=stderr)
         return 4
     except BeableSimError as exc:

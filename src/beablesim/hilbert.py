@@ -8,8 +8,9 @@ against the central tolerance record in :mod:`beablesim.tolerances`.
 Time evolution diagonalizes the (Hermitian) generator instead of truncating a
 series: the propagator is then unitary to floating-point accuracy, which
 matters because conditional-probability denominators downstream amplify any
-norm drift.  All reductions use a fixed summation order, so results are
-bit-stable across repeated calls.
+norm drift.  A generator is diagonalized once per operator, and a
+:class:`Projector` is validated once, when it is built.  All reductions use a
+fixed summation order, so results are bit-stable across repeated calls.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .errors import CapacityError, ValidationError, InvariantBreachError, ZeroPr
 __all__ = [
     "StateVector",
     "LinearOperator",
+    "Projector",
     "ProjectorFamily",
     "tensor_product",
+    "propagate",
     "evolve",
     "evolution_operator",
     "born_probability",
@@ -37,6 +40,10 @@ __all__ = [
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _hermitian_residue(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 class StateVector:
@@ -103,14 +110,14 @@ class LinearOperator:
     structural tolerances respectively) so downstream code can rely on them.
     """
 
-    __slots__ = ("matrix", "hermitian", "unitary")
+    __slots__ = ("matrix", "hermitian", "unitary", "_spectrum")
 
     def __init__(self, matrix, *, hermitian: bool = False, unitary: bool = False) -> None:
         arr = np.ascontiguousarray(matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValidationError("operator entries must form a square matrix")
         if hermitian:
-            residue = float(np.max(np.abs(arr - arr.conj().T)))
+            residue = _hermitian_residue(arr)
             if residue > tolerances.TOL.scalar:
                 raise ValidationError(f"operator flagged Hermitian has residue {residue:.3e}")
         if unitary:
@@ -121,6 +128,7 @@ class LinearOperator:
         self.matrix = _frozen(arr)
         self.hermitian = bool(hermitian)
         self.unitary = bool(unitary)
+        self._spectrum = None
 
     @property
     def dim(self) -> int:
@@ -135,7 +143,7 @@ class LinearOperator:
         return cls(np.zeros((dim, dim)), hermitian=True)
 
     @classmethod
-    def projector_onto(cls, *states: StateVector) -> "LinearOperator":
+    def projector_onto(cls, *states: StateVector) -> "Projector":
         """The orthogonal projector onto the span of the given orthonormal kets."""
         if not states:
             raise ValidationError("projector_onto needs at least one state")
@@ -144,19 +152,21 @@ class LinearOperator:
         gram = vecs.conj().T @ vecs
         if float(np.max(np.abs(gram - np.eye(len(states))))) > tolerances.TOL.structural:
             raise ValidationError("projector_onto requires orthonormal states")
-        return cls(vecs @ vecs.conj().T, hermitian=True)
+        return Projector(vecs @ vecs.conj().T)
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of this Hermitian operator, cached on first use."""
+        if self._spectrum is None:
+            _require_hermitian(self)
+            w, v = np.linalg.eigh(self.matrix)
+            self._spectrum = (_frozen(w), _frozen(v))
+        return self._spectrum
 
     def apply(self, state: StateVector) -> np.ndarray:
         """Raw matrix-vector product; the result is generally unnormalized."""
         if state.dim != self.dim:
             raise ValidationError("operator/state dimension mismatch")
         return self.matrix @ state.amplitudes
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.matrix.conj().T, hermitian=self.hermitian, unitary=self.unitary)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if not isinstance(other, LinearOperator):
@@ -178,7 +188,7 @@ def validate_projector(op: LinearOperator, *, what: str = "operator") -> None:
     (``max|P^2 - P|``) against the structural tolerance.
     """
     mat = op.matrix
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    herm = _hermitian_residue(mat)
     if herm > tolerances.TOL.scalar:
         raise ValidationError(f"{what} is not Hermitian (residue {herm:.3e})")
     idem = float(np.max(np.abs(mat @ mat - mat)))
@@ -186,13 +196,31 @@ def validate_projector(op: LinearOperator, *, what: str = "operator") -> None:
         raise ValidationError(f"{what} is not idempotent (residue {idem:.3e})")
 
 
+class Projector(LinearOperator):
+    """An orthogonal projector, validated once when it is built and then trusted."""
+
+    __slots__ = ()
+
+    def __init__(self, matrix, *, what: str = "projector") -> None:
+        super().__init__(matrix)
+        validate_projector(self, what=what)
+        self.hermitian = True
+
+    @classmethod
+    def of(cls, op: LinearOperator, *, what: str = "operator") -> "Projector":
+        """``op`` itself if it is already a ``Projector``, else ``op`` validated."""
+        if isinstance(op, Projector):
+            return op
+        return cls(op.matrix, what=what)
+
+
 class ProjectorFamily:
     """An ordered, complete family of mutually orthogonal projectors.
 
-    Each member carries a real outcome label (a mass, an index, ...).  The
-    constructor verifies idempotency of every member, pairwise orthogonality,
-    and completeness ``sum(P_i) == I``, all in max-norm against the structural
-    tolerance.
+    Each member carries a real outcome label (a mass, an index, ...) and is
+    held as a :class:`Projector`.  The constructor verifies pairwise
+    orthogonality and completeness ``sum(P_i) == I``, both in max-norm against
+    the structural tolerance.
     """
 
     __slots__ = ("members", "labels")
@@ -205,10 +233,9 @@ class ProjectorFamily:
         if len(members) != len(labels):
             raise ValidationError("projector family needs one label per member")
         dim = members[0].dim
-        for pos, member in enumerate(members):
-            if member.dim != dim:
-                raise ValidationError("projector family members must share one dimension")
-            validate_projector(member, what=f"family member {pos}")
+        if any(member.dim != dim for member in members):
+            raise ValidationError("projector family members must share one dimension")
+        members = tuple(Projector.of(m, what=f"family member {k}") for k, m in enumerate(members))
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 residue = float(np.max(np.abs(members[i].matrix @ members[j].matrix)))
@@ -232,7 +259,7 @@ class ProjectorFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def items(self) -> Iterable[tuple[float, LinearOperator]]:
+    def items(self) -> Iterable[tuple[float, Projector]]:
         return zip(self.labels, self.members)
 
     @classmethod
@@ -246,7 +273,7 @@ class ProjectorFamily:
     @classmethod
     def two_outcome(cls, projector: LinearOperator, labels: tuple[float, float] = (1.0, 0.0)) -> "ProjectorFamily":
         """The family ``{P, I - P}``, labelled ``labels`` in that order."""
-        complement = LinearOperator(np.eye(projector.dim) - projector.matrix, hermitian=True)
+        complement = Projector(np.eye(projector.dim) - projector.matrix, what="complement")
         return cls([projector, complement], labels)
 
 
@@ -282,34 +309,49 @@ def tensor_product(a, b):
 def _require_hermitian(hamiltonian: LinearOperator) -> None:
     if hamiltonian.hermitian:
         return
-    residue = float(np.max(np.abs(hamiltonian.matrix - hamiltonian.matrix.conj().T)))
+    residue = _hermitian_residue(hamiltonian.matrix)
     if residue > tolerances.TOL.scalar:
         raise ValidationError(f"generator is not Hermitian (residue {residue:.3e})")
+
+
+def _static(hamiltonian: LinearOperator | None, t: float) -> bool:
+    """``exp(-iHt)`` is exactly the identity: ``t = 0``, frozen (None) or zero dynamics."""
+    return t == 0.0 or hamiltonian is None or not np.any(hamiltonian.matrix)
+
+
+def propagate(hamiltonian: LinearOperator | None, vectors: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-iHt)`` applied to one vector or to every column of a batch.
+
+    Uses the generator's cached eigenpairs; ``t = 0`` and frozen (``None``) or
+    zero dynamics return ``vectors`` itself.
+    """
+    if _static(hamiltonian, t):
+        return vectors
+    w, v = hamiltonian.spectrum()
+    phases = np.exp(-1j * w * t)
+    if vectors.ndim == 2:
+        phases = phases[:, None]
+    return v @ (phases * (v.conj().T @ vectors))
 
 
 def evolve(hamiltonian: LinearOperator, t: float, state: StateVector) -> StateVector:
     """Evolve ``state`` to ``exp(-i H t) |state>`` (natural units).
 
-    The exponential is evaluated through the eigendecomposition of ``H``;
-    the norm is preserved to floating-point accuracy.
+    With ``t = 0`` or a zero generator the very same ``state`` is returned.
     """
     _require_hermitian(hamiltonian)
     if state.dim != hamiltonian.dim:
         raise ValidationError("generator/state dimension mismatch")
-    if t == 0.0 or not np.any(hamiltonian.matrix):
-        return state
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    phases = np.exp(-1j * w * t)
-    amps = v @ (phases * (v.conj().T @ state.amplitudes))
-    return StateVector(amps)
+    amps = propagate(hamiltonian, state.amplitudes, t)
+    return state if amps is state.amplitudes else StateVector(amps)
 
 
 def evolution_operator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     """The unitary ``exp(-i H t)`` as an explicit operator."""
     _require_hermitian(hamiltonian)
-    if t == 0.0 or not np.any(hamiltonian.matrix):
+    if _static(hamiltonian, t):
         return LinearOperator.identity(hamiltonian.dim)
-    w, v = np.linalg.eigh(hamiltonian.matrix)
+    w, v = hamiltonian.spectrum()
     phases = np.exp(-1j * w * t)
     return LinearOperator((v * phases) @ v.conj().T, unitary=True)
 
@@ -321,7 +363,7 @@ def born_probability(state: StateVector, projector: LinearOperator) -> float:
     clamped to ``[0, 1]`` only when they lie within that tolerance of the
     boundary; anything further out is reported as an invariant breach.
     """
-    validate_projector(projector, what="Born-rule projector")
+    projector = Projector.of(projector, what="Born-rule projector")
     if state.dim != projector.dim:
         raise ValidationError("projector/state dimension mismatch")
     raw = complex(np.vdot(state.amplitudes, projector.matrix @ state.amplitudes))

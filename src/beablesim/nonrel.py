@@ -20,7 +20,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +27,10 @@ import numpy as np
 from . import tolerances
 from .abl import ConditionalDistribution
 from .abl import abl_evolved  # noqa: F401 - bench/tracing.py wraps nonrel.abl_evolved
-from .errors import (
-    CapacityError,
-    ImpossiblePostSelectionError,
-    ValidationError,
-)
+from .errors import ImpossiblePostSelectionError, ValidationError
 from .fields import BeableField
-from .hilbert import LinearOperator, ProjectorFamily, StateVector, _require_hermitian
+from .hilbert import LinearOperator, Projector, ProjectorFamily, StateVector
+from .hilbert import _check_capacity, propagate
 
 __all__ = [
     "Statistics",
@@ -88,6 +84,12 @@ class ParticleSpec:
             raise ValidationError(f"particle mass must be positive and finite, got {self.mass!r}")
 
 
+def _site_table(sites: int, count: int) -> np.ndarray:
+    """(count, sites**count) table: site of each particle in every basis state."""
+    index = np.arange(sites ** count)
+    return np.array([(index // sites ** (count - 1 - slot)) % sites for slot in range(count)])
+
+
 def _swap_particles(amplitudes: np.ndarray, sites: int, count: int, i: int, j: int) -> np.ndarray:
     """Amplitudes with particle labels i and j (0-based) exchanged."""
     tensor = amplitudes.reshape((sites,) * count)
@@ -122,10 +124,7 @@ class LatticeModel:
         if not 0.0 <= self.t_final < math.inf:
             raise ValidationError("final time must be nonnegative and finite")
         dim = self.sites ** len(self.particles)
-        if dim > tolerances.TOL.dimension_cap:
-            raise CapacityError(
-                f"lattice dimension {self.sites}^{len(self.particles)} exceeds the cap"
-            )
+        _check_capacity(dim)
         if self.initial.dim != dim:
             raise ValidationError(
                 f"initial state has dim {self.initial.dim}, model needs {dim}"
@@ -165,37 +164,10 @@ class LatticeModel:
 
     def positions_by_particle(self) -> np.ndarray:
         """(N, dim) table: site of each particle in every basis state."""
-        count = len(self.particles)
-        index = np.arange(self.dim)
-        rows = [
-            (index // self.sites ** (count - 1 - slot)) % self.sites for slot in range(count)
-        ]
-        return np.array(rows)
-
-    @cached_property
-    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Eigenvalues and eigenvectors of the generator; None for frozen or zero dynamics."""
-        if self.hamiltonian is None or not np.any(self.hamiltonian.matrix):
-            return None
-        _require_hermitian(self.hamiltonian)
-        return np.linalg.eigh(self.hamiltonian.matrix)
-
-    def propagate(self, vectors: np.ndarray, t: float) -> np.ndarray:
-        """``exp(-iHt)`` applied to one vector or to every column of a batch.
-
-        The generator is diagonalized once per model, on first use; ``t = 0``
-        and frozen or zero dynamics return ``vectors`` unchanged.
-        """
-        if t == 0.0 or self._eigenpairs is None:
-            return vectors
-        w, v = self._eigenpairs
-        phases = np.exp(-1j * w * t)
-        if vectors.ndim == 2:
-            phases = phases[:, None]
-        return v @ (phases * (v.conj().T @ vectors))
+        return _site_table(self.sites, len(self.particles))
 
     def evolved_state(self, t: float) -> StateVector:
-        return StateVector(self.propagate(self.initial.amplitudes, t))
+        return StateVector(propagate(self.hamiltonian, self.initial.amplitudes, t))
 
     def site_coordinates(self) -> np.ndarray:
         return self.spacing * np.arange(self.sites, dtype=float)
@@ -268,11 +240,11 @@ def _check_site(model: LatticeModel, site: int) -> int:
     return int(site)
 
 
-def _diagonal_projector(mask: np.ndarray) -> LinearOperator:
-    return LinearOperator(np.diag(mask.astype(np.complex128)), hermitian=True)
+def _diagonal_projector(mask: np.ndarray) -> Projector:
+    return Projector(np.diag(mask.astype(np.complex128)))
 
 
-def position_projector(model: LatticeModel, particle: int, site: int) -> LinearOperator:
+def position_projector(model: LatticeModel, particle: int, site: int) -> Projector:
     """Projector localizing particle ``particle`` (1-based) at ``site``.
 
     This is ``I x ... x |site><site| x ... x I`` with the marked factor in the
@@ -311,7 +283,7 @@ def _mass_at_site_mask(
 
 def mass_projector_at(
     model: LatticeModel, scope: ParticleClass | None, mass: float, site: int
-) -> LinearOperator:
+) -> Projector:
     """Projector onto "a scope particle of this mass sits alone at ``site``".
 
     Sums, over the scope particles carrying ``mass``, the projector that pins
@@ -383,7 +355,7 @@ def _boundary_mask(
 
 def final_boundary_projector(
     model: LatticeModel, conditioned_class: ParticleClass | None, sites: Sequence[int]
-) -> LinearOperator:
+) -> Projector:
     """Product of position projectors pinning each conditioned particle.
 
     ``sites`` lists one site per particle of ``conditioned_class`` in label
@@ -500,7 +472,7 @@ def abl_mass_field(
     values = np.empty((len(times), model.sites))
     for ti, t in enumerate(times):
         branches = branch_masks * model.evolved_state(t).amplitudes[:, None]
-        late = model.propagate(branches, model.t_final - t)[final_mask]
+        late = propagate(model.hamiltonian, branches, model.t_final - t)[final_mask]
         weights = np.sum(np.abs(late) ** 2, axis=0).reshape(model.sites, len(labels))
         totals = weights.sum(axis=1)
         if np.any(totals < tolerances.TOL.branch_cutoff):
@@ -527,13 +499,6 @@ def site_product_state(
         if not 0 <= site < sites:
             raise ValidationError(f"site {site} out of range 0..{sites - 1}")
     amplitudes = np.zeros(sites ** count, dtype=np.complex128)
-
-    def flat_index(assignment: Sequence[int]) -> int:
-        idx = 0
-        for site in assignment:
-            idx = idx * sites + site
-        return idx
-
     groups = {
         Statistics.BOSON: [i for i, p in enumerate(particles) if p.statistics is Statistics.BOSON],
         Statistics.FERMION: [i for i, p in enumerate(particles) if p.statistics is Statistics.FERMION],
@@ -554,7 +519,7 @@ def site_product_state(
                 new_terms.append((tuple(permuted), coeff * sign))
         terms = new_terms
     for assignment, coeff in terms:
-        amplitudes[flat_index(assignment)] += coeff
+        amplitudes[np.ravel_multi_index(assignment, (sites,) * count)] += coeff
     norm = np.linalg.norm(amplitudes)
     if norm <= tolerances.TOL.branch_cutoff:
         raise ValidationError("configuration vanishes under antisymmetrization")
@@ -604,8 +569,7 @@ def hopping_contact_hamiltonian(
     """
     count = len(particles)
     dim = sites ** count
-    if dim > tolerances.TOL.dimension_cap:
-        raise CapacityError(f"lattice dimension {sites}^{count} exceeds the cap")
+    _check_capacity(dim)
     hop = np.zeros((sites, sites))
     for x in range(sites - 1):
         hop[x, x + 1] = hop[x + 1, x] = -hopping
@@ -617,10 +581,7 @@ def hopping_contact_hamiltonian(
         for other in range(count):
             term = np.kron(term, hop if other == slot else np.eye(sites))
         matrix += term
-    index = np.arange(dim)
-    positions = np.array(
-        [(index // sites ** (count - 1 - slot)) % sites for slot in range(count)]
-    )
+    positions = _site_table(sites, count)
     b_slots = [i for i, p in enumerate(particles) if p.particle_class is ParticleClass.B]
     f_slots = [i for i, p in enumerate(particles) if p.particle_class is ParticleClass.F]
     overlap = np.zeros(dim)

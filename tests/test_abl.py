@@ -22,6 +22,7 @@ from beablesim import (
     tensor_product,
 )
 from beablesim.abl import random_scenario
+from beablesim.cli import _monte_carlo_frequencies
 
 
 def ket(*amps):
@@ -230,6 +231,13 @@ class TestAblEvolved:
                 abs(p - q) for p, q in zip(base.probabilities, moved.probabilities)
             ) <= 1e-10
 
+    def test_final_must_be_a_projector(self):
+        zero, one = StateVector.basis_state(2, 0), StateVector.basis_state(2, 1)
+        family = ProjectorFamily.from_basis([zero, one])
+        for final in ([[1, 1], [0, 0]], [[0.5, 0], [0, 0]]):
+            with pytest.raises(ValidationError, match="post-selection projector"):
+                PrePostScenario(zero, family, LinearOperator(final), LinearOperator.zero(2), 0.5, 1.0)
+
     def test_time_ordering_validated(self):
         zero, one = StateVector.basis_state(2, 0), StateVector.basis_state(2, 1)
         family = ProjectorFamily.from_basis([zero, one])
@@ -275,6 +283,22 @@ class TestOracle:
             scenario = random_scenario(rng, int(rng.integers(2, 8)))
             joint = oracle_joint_distribution(scenario, ProjectorFamily.two_outcome(scenario.final))
             assert abs(joint.total() - 1.0) <= 1e-10
+
+    def test_engines_share_one_diagonalization(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rng = np.random.default_rng(53)
+        scenario = random_scenario(rng, 5)
+        abl_evolved(scenario)
+        oracle_joint_distribution(scenario, ProjectorFamily.two_outcome(scenario.final))
+        _monte_carlo_frequencies(scenario, 1000, rng)
+        assert calls == [(5, 5)]
 
     def test_final_family_must_contain_post_selection(self):
         rng = np.random.default_rng(47)

@@ -406,6 +406,16 @@ class TestExitCodes:
             main(["run", path, "--threads", "2"])
         assert exit_info.value.code == 2
 
+    def test_linear_algebra_failure_is_an_invariant_breach(self, tmp_path, monkeypatch):
+        def failing_eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        stderr = io.StringIO()
+        path = os.path.join(CONFIGS, "abl-check.json")
+        assert run(path, out=str(tmp_path / "out"), stderr=stderr) == 4
+        assert stderr.getvalue().startswith("invariant breach: Eigenvalues did not converge")
+
     def test_missing_config_file(self, tmp_path):
         assert run_quiet(str(tmp_path / "absent.json")) == 2
 

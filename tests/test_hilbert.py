@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from beablesim import (
     CapacityError,
     LinearOperator,
+    Projector,
     ProjectorFamily,
     StateVector,
     Tolerances,
@@ -18,9 +19,10 @@ from beablesim import (
     evolve,
     evolution_operator,
     luders_collapse,
+    propagate,
     tensor_product,
 )
-from beablesim import tolerances
+from beablesim import hilbert, tolerances
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -83,6 +85,47 @@ class TestLinearOperator:
         plus = ket(1, 1)
         with pytest.raises(ValidationError):
             LinearOperator.projector_onto(plus, plus)
+
+
+class TestProjector:
+    def test_rejects_non_idempotent(self):
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(2 * np.eye(2))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Projector([[1, 1], [0, 0]])
+
+    def test_of_passes_a_projector_through_and_validates_anything_else(self):
+        p0 = LinearOperator.projector_onto(StateVector.basis_state(2, 0))
+        assert isinstance(p0, Projector) and p0.hermitian
+        assert Projector.of(p0) is p0
+        plain = Projector.of(LinearOperator(p0.matrix))
+        assert isinstance(plain, Projector)
+        assert np.array_equal(plain.matrix, p0.matrix)
+        with pytest.raises(ValidationError, match="Born-rule projector"):
+            Projector.of(LinearOperator(2 * np.eye(2)), what="Born-rule projector")
+
+    def test_validated_once_when_built(self, monkeypatch):
+        calls = []
+        original = hilbert.validate_projector
+
+        def counting(op, *, what="operator"):
+            calls.append(what)
+            return original(op, what=what)
+
+        monkeypatch.setattr(hilbert, "validate_projector", counting)
+        plus = ket(1, 1)
+        built = LinearOperator.projector_onto(StateVector.basis_state(2, 0))
+        assert len(calls) == 1
+        born_probability(plus, built)
+        luders_collapse(plus, built)
+        assert len(calls) == 1
+        plain = LinearOperator(built.matrix)
+        born_probability(plus, plain)
+        assert len(calls) == 2
+        luders_collapse(plus, plain)
+        assert len(calls) == 3
 
 
 class TestTensorProduct:
@@ -165,6 +208,23 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(h, 1.0, StateVector.basis_state(2, 0))
 
+    def test_evolve_diagonalizes_the_generator_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rng = np.random.default_rng(13)
+        h = random_hermitian(rng, 4)
+        psi = random_state(rng, 4)
+        evolve(h, 0.3, psi)
+        evolve(h, 1.1, psi)
+        evolution_operator(h, 0.7)
+        assert calls == [(4, 4)]
+
     def test_evolution_operator_matches_evolve(self):
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 5)
@@ -172,6 +232,27 @@ class TestEvolve:
         u = evolution_operator(h, 0.9)
         assert u.unitary
         assert np.max(np.abs(u.apply(psi) - evolve(h, 0.9, psi).amplitudes)) <= 1e-12
+
+
+class TestPropagate:
+    def test_exact_shortcuts_return_the_input_itself(self):
+        rng = np.random.default_rng(17)
+        vectors = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        h = random_hermitian(rng, 3)
+        assert propagate(None, vectors, 1.3) is vectors
+        assert propagate(LinearOperator.zero(3), vectors, 1.3) is vectors
+        assert propagate(h, vectors, 0.0) is vectors
+
+    def test_batch_equals_columns(self):
+        rng = np.random.default_rng(19)
+        h = random_hermitian(rng, 5)
+        batch = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        together = propagate(h, batch, 0.8)
+        for k in range(batch.shape[1]):
+            alone = propagate(h, batch[:, k], 0.8)
+            assert np.max(np.abs(together[:, k] - alone)) <= 1e-14
+            oracle = scipy.linalg.expm(-0.8j * h.matrix) @ batch[:, k]
+            assert np.max(np.abs(alone - oracle)) <= 1e-12
 
 
 class TestBornProbability:
