@@ -102,6 +102,10 @@ def _record(value: Any, path: str, required: Sequence[str], optional: Sequence[s
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value: int | float, path: str) -> float:
     """``value`` as a float, refusing the NaN, infinities and overflowing literals JSON admits."""
     if not abs(value) <= sys.float_info.max:
@@ -112,7 +116,7 @@ def _finite(value: int | float, path: str) -> float:
 def _number(record: dict, path: str, key: str, *, minimum: float | None = None,
             exclusive_minimum: float | None = None) -> float:
     value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         _fail(f"{path}.{key}", "expected a number")
     value = _finite(value, f"{path}.{key}")
     if minimum is not None and value < minimum:
@@ -141,17 +145,13 @@ def _choice(record: dict, path: str, key: str, options: Sequence[str]) -> str:
     return value
 
 
-def _complex(record: dict, path: str, key: str) -> complex:
-    value = record[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_finite(value, f"{path}.{key}"), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(_finite(value[0], f"{path}.{key}"), _finite(value[1], f"{path}.{key}"))
-    _fail(f"{path}.{key}", "expected a number or a [re, im] pair")
+def _complex(value: Any, path: str) -> complex:
+    """A config number or ``[re, im]`` pair as a finite complex number."""
+    if _is_number(value):
+        return complex(_finite(value, path), 0.0)
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
+        return complex(_finite(value[0], path), _finite(value[1], path))
+    _fail(path, "expected a number or a [re, im] pair")
 
 
 def _int_list(record: dict, path: str, key: str) -> list[int]:
@@ -310,8 +310,8 @@ def _build_toy_config(cfg: ScenarioConfig) -> tuple[ToyModelConfig, int | None]:
         x2=_number(record, path, "x2"),
         sigma1=_number(record, path, "sigma1", exclusive_minimum=0.0),
         sigma2=_number(record, path, "sigma2", exclusive_minimum=0.0),
-        amp_a=_complex(record, path, "amp_a"),
-        amp_b=_complex(record, path, "amp_b"),
+        amp_a=_complex(record["amp_a"], f"{path}.amp_a"),
+        amp_b=_complex(record["amp_b"], f"{path}.amp_b"),
         mass=_number(record, path, "mass", exclusive_minimum=0.0),
         t1=_number(record, path, "t1"),
     )
@@ -445,13 +445,11 @@ def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeMod
         if "entries" not in h_record:
             _fail(h_path, "missing keys ['entries']")
         entries = h_record["entries"]
-        try:
-            matrix = np.array(
-                [[_cell_to_complex(cell, f"{h_path}.entries") for cell in row] for row in entries],
-                dtype=complex,
-            )
-        except (TypeError, ValueError):
-            _fail(f"{h_path}.entries", "expected a nested list of numbers or [re, im] pairs")
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list) and len(row) == len(entries) for row in entries
+        ):
+            _fail(f"{h_path}.entries", "expected a square nested list of numbers or [re, im] pairs")
+        matrix = [[_complex(cell, f"{h_path}.entries") for cell in row] for row in entries]
         hamiltonian = LinearOperator(matrix, hermitian=True)
     else:
         hamiltonian = None
@@ -468,14 +466,6 @@ def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeMod
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _cell_to_complex(cell: Any, path: str) -> complex:
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(_finite(cell, path), 0.0)
-    if isinstance(cell, list) and len(cell) == 2:
-        return complex(_finite(cell[0], path), _finite(cell[1], path))
-    raise TypeError(f"bad matrix cell {cell!r}")
 
 
 def _lattice_times(cfg: ScenarioConfig, t_final: float) -> np.ndarray:
@@ -501,12 +491,12 @@ def _oracle_field_residual(
         [final_boundary_projector(model, conditioned, a) for a in assignments],
         [float(i) for i in range(len(assignments))],
     )
-    p_final = final_boundary_projector(model, conditioned, final_sites)
+    p_final = final_family.members[assignments.index(tuple(final_sites))]
+    families = [mass_family_at(model, beable_class, x) for x in range(model.sites)]
     hamiltonian = model.hamiltonian if model.hamiltonian is not None else LinearOperator.zero(model.dim)
     worst = 0.0
     for i, t in enumerate(field.ts):
-        for x in range(model.sites):
-            family = mass_family_at(model, beable_class, x)
+        for x, family in enumerate(families):
             scenario = PrePostScenario(
                 model.initial, family, p_final, hamiltonian, float(t), model.t_final
             )

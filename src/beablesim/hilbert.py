@@ -197,13 +197,24 @@ def validate_projector(op: LinearOperator, *, what: str = "operator") -> None:
 
 
 class Projector(LinearOperator):
-    """An orthogonal projector, validated once when it is built and then trusted."""
+    """An orthogonal projector, validated once when it is built and then trusted.
 
-    __slots__ = ()
+    A 1-D argument is a site-basis mask, kept as ``mask`` (``None`` if dense):
+    ``diag(mask)`` is a projector exactly when every entry is 0 or 1.
+    """
+
+    __slots__ = ("mask",)
 
     def __init__(self, matrix, *, what: str = "projector") -> None:
+        self.mask = None
+        if np.ndim(matrix) == 1:
+            self.mask = _frozen(np.asarray(matrix).astype(bool))
+            if not np.array_equal(self.mask, matrix):
+                raise ValidationError(f"{what} mask has entries other than 0 and 1")
+            matrix = np.diag(self.mask.astype(np.complex128))
         super().__init__(matrix)
-        validate_projector(self, what=what)
+        if self.mask is None:
+            validate_projector(self, what=what)
         self.hermitian = True
 
     @classmethod
@@ -220,7 +231,7 @@ class ProjectorFamily:
     Each member carries a real outcome label (a mass, an index, ...) and is
     held as a :class:`Projector`.  The constructor verifies pairwise
     orthogonality and completeness ``sum(P_i) == I``, both in max-norm against
-    the structural tolerance.
+    the structural tolerance; a family of masks must cover each basis index once.
     """
 
     __slots__ = ("members", "labels")
@@ -236,19 +247,24 @@ class ProjectorFamily:
         if any(member.dim != dim for member in members):
             raise ValidationError("projector family members must share one dimension")
         members = tuple(Projector.of(m, what=f"family member {k}") for k, m in enumerate(members))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                residue = float(np.max(np.abs(members[i].matrix @ members[j].matrix)))
-                if residue > tolerances.TOL.structural:
-                    raise ValidationError(
-                        f"family members {i} and {j} are not orthogonal (residue {residue:.3e})"
-                    )
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for member in members:
-            total = total + member.matrix
-        completeness = float(np.max(np.abs(total - np.eye(dim))))
-        if completeness > tolerances.TOL.structural:
-            raise ValidationError(f"projector family is not complete (residue {completeness:.3e})")
+        if all(member.mask is not None for member in members):
+            stray = np.sum([member.mask for member in members], axis=0) != 1
+            if np.any(stray):
+                raise ValidationError(f"basis index {np.argmax(stray)} is not in exactly one family member")
+        else:
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    residue = float(np.max(np.abs(members[i].matrix @ members[j].matrix)))
+                    if residue > tolerances.TOL.structural:
+                        raise ValidationError(
+                            f"family members {i} and {j} are not orthogonal (residue {residue:.3e})"
+                        )
+            total = np.zeros((dim, dim), dtype=np.complex128)
+            for member in members:
+                total = total + member.matrix
+            completeness = float(np.max(np.abs(total - np.eye(dim))))
+            if completeness > tolerances.TOL.structural:
+                raise ValidationError(f"projector family is not complete (residue {completeness:.3e})")
         self.members = members
         self.labels = labels
 

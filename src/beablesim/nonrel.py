@@ -5,8 +5,8 @@ one-site indicators, integrals become site sums, and the N-particle Hilbert
 space is the L^N-fold tensor product with particle 1 as the major index.  All
 position and mass projectors are diagonal in the site basis, so expectation
 values are computed from index masks without materializing matrices; the
-projector-returning operations build dense operators on demand for use with
-the conditional-probability engine.
+projector-returning operations pass their mask to :class:`Projector`, whose
+check is exact (0/1 entries), and its dense ``matrix`` serves the ABL engine.
 
 Mass measurements adopt the no-overlap convention throughout: the projector
 for "a particle of mass M alone at site x" requires every other particle to
@@ -240,10 +240,6 @@ def _check_site(model: LatticeModel, site: int) -> int:
     return int(site)
 
 
-def _diagonal_projector(mask: np.ndarray) -> Projector:
-    return Projector(np.diag(mask.astype(np.complex128)))
-
-
 def position_projector(model: LatticeModel, particle: int, site: int) -> Projector:
     """Projector localizing particle ``particle`` (1-based) at ``site``.
 
@@ -254,8 +250,7 @@ def position_projector(model: LatticeModel, particle: int, site: int) -> Project
     """
     slot = _check_particle_index(model, particle)
     site = _check_site(model, site)
-    mask = model.positions_by_particle()[slot] == site
-    return _diagonal_projector(mask)
+    return Projector(model.positions_by_particle()[slot] == site)
 
 
 def _exclusive_mask(positions: np.ndarray, slot: int, site: int) -> np.ndarray:
@@ -292,7 +287,7 @@ def mass_projector_at(
     site give mutually orthogonal projectors.
     """
     site = _check_site(model, site)
-    return _diagonal_projector(_mass_at_site_mask(model, scope, mass, site))
+    return Projector(_mass_at_site_mask(model, scope, mass, site))
 
 
 def mass_projector_anywhere(
@@ -334,7 +329,7 @@ def mass_family_at(
     complement projector labelled 0 ("no isolated scope mass here").
     """
     labels, masks = _outcome_masks(model, scope, site)
-    return ProjectorFamily([_diagonal_projector(mask) for mask in masks], labels)
+    return ProjectorFamily([Projector(mask) for mask in masks], labels)
 
 
 def _boundary_mask(
@@ -363,7 +358,7 @@ def final_boundary_projector(
     identity on the other class.  An empty scope yields the identity (no
     post-selection).
     """
-    return _diagonal_projector(_boundary_mask(model, conditioned_class, sites))
+    return Projector(_boundary_mask(model, conditioned_class, sites))
 
 
 def _particle_site_probabilities(model: LatticeModel, state: StateVector) -> np.ndarray:

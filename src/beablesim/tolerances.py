@@ -22,6 +22,5 @@ class Tolerances:
     dimension_cap: int = 2 ** 20
 
 
-#: Default record.  Rebind this module attribute to reconfigure globally, or
-#: pass an explicit ``Tolerances`` to the operations that accept one.
+#: Default record.  Rebind this module attribute to reconfigure globally.
 TOL = Tolerances()

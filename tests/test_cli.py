@@ -11,13 +11,23 @@ import pytest
 from beablesim import (
     BeableField,
     NatureChoice,
+    ParticleClass,
     SpacetimeGrid,
     SpacetimePoint,
     ToyModelConfig,
     beable_field,
     in_region_of_indeterminacy,
 )
-from beablesim.cli import _toy_checks, emit_field, load_field, main, parse_config, run
+from beablesim.cli import (
+    _build_lattice_model,
+    _oracle_field_residual,
+    _toy_checks,
+    emit_field,
+    load_field,
+    main,
+    parse_config,
+    run,
+)
 from beablesim.errors import ValidationError
 
 T1 = 0.50390625
@@ -299,6 +309,21 @@ class TestRunLattice:
         assert residual == 0.0
         assert math.copysign(1.0, residual) == 1.0
 
+    def test_oracle_referee_rejects_a_perturbed_field(self, tmp_path):
+        config = json.loads(open(os.path.join(CONFIGS, "classes.json")).read())
+        prefix = str(tmp_path / "cls")
+        assert run_quiet(write_config(tmp_path, config), out=prefix) == 0
+        report = json.loads(open(f"{prefix}_report.json").read())
+        model = _build_lattice_model(parse_config(config), with_class=True)
+        field = load_field("csv", f"{prefix}_field.csv")
+        final_sites = report["selection"]["final_sites"]
+        beable = ParticleClass.B
+        assert _oracle_field_residual(model, beable, final_sites, field) <= 1e-10
+        values = field.values.copy()
+        values[len(field.ts) // 2, 1] += 1e-8
+        perturbed = BeableField(field.ts, field.xs, values)
+        assert _oracle_field_residual(model, beable, final_sites, perturbed) > 1e-10
+
     def test_explicit_matrix_hamiltonian(self, tmp_path):
         prefix = str(tmp_path / "mat")
         config = classes_config(prefix)
@@ -415,6 +440,33 @@ class TestExitCodes:
         path = os.path.join(CONFIGS, "abl-check.json")
         assert run(path, out=str(tmp_path / "out"), stderr=stderr) == 4
         assert stderr.getvalue().startswith("invariant breach: Eigenvalues did not converge")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[[True, False]]], [[0.0], [0.0, 1.0]], [[0.0, 1.0]], 5, [5], [[[0.0, "1"]]]],
+        ids=["boolean-pair", "ragged", "not-square", "not-a-list", "row-not-a-list", "string-part"],
+    )
+    def test_bad_matrix_entries_are_a_validation_error(self, tmp_path, entries):
+        # one site, so a single [re, im] cell is a whole 1x1 Hamiltonian
+        config = json.loads(open(os.path.join(CONFIGS, "nparticle.json")).read())
+        config["parameters"].update(
+            sites=1,
+            initial={"type": "sites", "sites": [0, 0]},
+            hamiltonian={"type": "matrix", "entries": entries},
+        )
+        stderr = io.StringIO()
+        path = write_config(tmp_path, config)
+        assert run(path, out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert "config.parameters.hamiltonian.entries" in stderr.getvalue()
+
+    def test_boolean_pair_amplitude_is_a_validation_error(self, tmp_path):
+        config = json.loads(open(os.path.join(CONFIGS, "toy1.json")).read())
+        config["parameters"]["amp_a"] = [True, False]
+        stderr = io.StringIO()
+        assert run(write_config(tmp_path, config), out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert stderr.getvalue() == (
+            "error: config.parameters.amp_a: expected a number or a [re, im] pair\n"
+        )
 
     def test_missing_config_file(self, tmp_path):
         assert run_quiet(str(tmp_path / "absent.json")) == 2

@@ -1,5 +1,8 @@
 """Kernel tests: tensor products, evolution, Born rule, collapse."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +25,7 @@ from beablesim import (
     propagate,
     tensor_product,
 )
-from beablesim import hilbert, tolerances
+from beablesim import cli, hilbert, tolerances
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -30,6 +33,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def ket(*amps):
     return StateVector.normalized(np.array(amps, dtype=complex))
+
+
+def dense(mask):
+    return np.diag(mask.astype(complex))
 
 
 def random_state(rng, dim):
@@ -126,6 +133,19 @@ class TestProjector:
         assert len(calls) == 2
         luders_collapse(plus, plain)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("build", [np.asarray, dense], ids=["mask", "dense"])
+    @pytest.mark.parametrize("entry", [2.0, 0.5, -1.0])
+    def test_rejects_a_diagonal_entry_other_than_0_or_1(self, build, entry):
+        with pytest.raises(ValidationError):
+            Projector(build(np.array([1.0, entry, 0.0])))
+
+    def test_mask_is_its_diagonal(self):
+        projector = Projector(np.array([True, False, True]))
+        assert projector.mask.tolist() == [True, False, True]
+        assert np.array_equal(projector.matrix, np.diag([1.0, 0.0, 1.0]).astype(complex))
+        assert projector.hermitian
+        assert Projector(projector.matrix).mask is None
 
 
 class TestTensorProduct:
@@ -342,6 +362,24 @@ class TestProjectorFamily:
         with pytest.raises(ValidationError):
             ProjectorFamily([p0, plus], [0.0, 1.0])
 
+    @pytest.mark.parametrize("build", [np.asarray, dense], ids=["mask", "dense"])
+    @pytest.mark.parametrize(
+        "masks, valid",
+        [
+            ([[1, 0, 0, 1], [0, 1, 1, 0]], True),
+            ([[1, 1, 0, 0], [0, 1, 1, 1]], False),
+            ([[1, 0, 0, 0], [0, 1, 1, 0]], False),
+        ],
+        ids=["partition", "overlap", "uncovered"],
+    )
+    def test_mask_family_accepted_and_rejected_as_its_dense_form(self, build, masks, valid):
+        members = [Projector(build(np.array(mask, dtype=bool))) for mask in masks]
+        if valid:
+            assert len(ProjectorFamily(members, [1.0, 2.0])) == 2
+        else:
+            with pytest.raises(ValidationError):
+                ProjectorFamily(members, [1.0, 2.0])
+
     def test_two_outcome(self):
         p0 = LinearOperator.projector_onto(StateVector.basis_state(2, 0))
         family = ProjectorFamily.two_outcome(p0)
@@ -355,3 +393,45 @@ def test_tolerance_record_defaults():
     assert tolerances.TOL.scalar == 1e-12
     assert tolerances.TOL.branch_cutoff == 1e-14
     assert tolerances.TOL.dimension_cap == 2 ** 20
+
+
+def test_lattice_run_builds_mask_projectors_without_dense_validation(tmp_path, monkeypatch):
+    # dim 64: the oracle-agreement referee builds one mass family per site and
+    # one final family, all from site masks, so no dense P@P check runs
+    validations, families = [], []
+    original_validate = hilbert.validate_projector
+    original_family = ProjectorFamily.__init__
+
+    def counting_validate(op, *, what="operator"):
+        validations.append(what)
+        return original_validate(op, what=what)
+
+    def counting_family(self, members, labels):
+        families.append(len(members))
+        return original_family(self, members, labels)
+
+    monkeypatch.setattr(hilbert, "validate_projector", counting_validate)
+    monkeypatch.setattr(ProjectorFamily, "__init__", counting_family)
+    sites = 4
+    config = {
+        "schema": 1,
+        "kind": "nonrel-nparticle",
+        "seed": 3,
+        "grid": {"t_steps": 9},
+        "parameters": {
+            "sites": sites,
+            "particles": [{"mass": 1.0}, {"mass": 2.0}, {"mass": 3.0}],
+            "initial": {"type": "sites", "sites": [0, 2, 3]},
+            "hamiltonian": {"type": "hopping-contact", "hopping": 1.0, "contact": 0.5},
+            "t_final": 1.5,
+        },
+        "output": {"prefix": str(tmp_path / "dim64"), "format": "json"},
+    }
+    path = tmp_path / "dim64.json"
+    path.write_text(json.dumps(config))
+    assert cli.run(str(path), stderr=io.StringIO()) == 0
+    report = json.loads((tmp_path / "dim64_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["field-range", "oracle-agreement"]
+    assert all(c["passed"] for c in report["checks"])
+    assert validations == []
+    assert len(families) == sites + 1
