@@ -11,6 +11,13 @@ status:
 * 4  internal invariant breach (a numpy ``LinAlgError`` too) or failed self-check
 * 5  unwritable output path
 
+The schema is one table per kind (``KINDS``) giving each key its type, bounds
+and default or required flag.  :func:`parse_config` checks the whole config
+against it before anything runs, so a config that fails the schema writes no
+file or directory.  Keys of another kind or variant are errors, and every
+error names its key path, e.g. ``config.parameters.t1: expected a finite
+number``.
+
 Every residual in the report is recomputed from the *emitted* files, not from
 in-memory state, so serialization is part of what the checks certify.  The
 report file contains no timings (those go to stderr), which keeps every
@@ -20,12 +27,13 @@ output byte a pure function of (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -79,31 +87,100 @@ from .relmodels import (
 
 __all__ = ["run", "main", "emit_field", "load_field", "parse_config", "ScenarioConfig"]
 
-KINDS = ("abl-check", "nonrel-nparticle", "nonrel-classes", "toy1", "toy2")
-
-
 # ---------------------------------------------------------------------------
-# strict config walking
+# the config schema: one table per kind, one walker
+
+
+_REQUIRED = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One config key: its type, its default (required if it has none) and its domain.
+
+    ``type`` is ``number``, ``integer``, ``complex`` (a number or an ``[re, im]``
+    pair), ``choice``, ``boolean``, ``string``, ``integers`` or ``matrix``.  A
+    choice's ``choices`` may map each value to the further keys that value
+    admits in the same record.  In a table, a nested table is an object and a
+    one-table list a nonempty list of such objects.
+    """
+
+    type: str
+    default: Any = _REQUIRED
+    minimum: float | None = None
+    exclusive_minimum: float | None = None
+    maximum: int | None = None
+    choices: Sequence | dict = ()
+
+
+_NUMBER = Key("number")
+_POSITIVE = Key("number", exclusive_minimum=0.0)
+_CLASS = Key("choice", default="B", choices=("B", "F"))
+TOY_GRID = {"t_min": _NUMBER, "t_max": _NUMBER, "t_steps": Key("integer", minimum=1),
+            "x_min": _NUMBER, "x_max": _NUMBER, "x_steps": Key("integer", minimum=2)}
+TOY_PARAMETERS = {
+    "x1": _NUMBER, "x2": _NUMBER, "sigma1": _POSITIVE, "sigma2": _POSITIVE,
+    "amp_a": Key("complex"), "amp_b": Key("complex"), "mass": _POSITIVE, "t1": _NUMBER,
+    "branch": Key("integer", default=None, minimum=1, maximum=2),
+    "separation_ratio": Key("number", default=None, exclusive_minimum=0.0),
+}
+# t_max defaults to the model's t_final
+LATTICE_GRID = {"t_steps": Key("integer", minimum=1), "t_min": Key("number", default=0.0),
+                "t_max": Key("number", default=None)}
+PARTICLE = {
+    "mass": _POSITIVE,
+    "statistics": Key("choice", default="distinguishable", choices=tuple(s.value for s in Statistics)),
+}
+NPARTICLE_PARAMETERS = {
+    "sites": Key("integer", minimum=1),
+    "particles": [PARTICLE],
+    "initial": {"type": Key("choice", choices={"sites": {"sites": Key("integers")}, "uniform": {}})},
+    "hamiltonian": {"type": Key("choice", choices={
+        "hopping-contact": {"hopping": _NUMBER, "contact": _NUMBER,
+                            "periodic": Key("boolean", default=False)},
+        "matrix": {"entries": Key("matrix")},
+        "frozen": {},
+    })},
+    "t_final": Key("number", minimum=0.0),
+    "spacing": Key("number", default=1.0, exclusive_minimum=0.0),
+    "final_sites": Key("integers", default=None),
+}
+CLASSES_PARAMETERS = {**NPARTICLE_PARAMETERS, "particles": [{**PARTICLE, "class": _CLASS}],
+                      "beable_class": _CLASS}
+ABL_CHECK_PARAMETERS = {"count": Key("integer", minimum=1),
+                        "max_dim": Key("integer", minimum=2, maximum=32),
+                        "monte_carlo_trials": Key("integer", default=None, minimum=100)}
+KINDS = {
+    "abl-check": {"parameters": ABL_CHECK_PARAMETERS},
+    "nonrel-nparticle": {"grid": LATTICE_GRID, "parameters": NPARTICLE_PARAMETERS},
+    "nonrel-classes": {"grid": LATTICE_GRID, "parameters": CLASSES_PARAMETERS},
+    "toy1": {"grid": TOY_GRID, "parameters": TOY_PARAMETERS},
+    "toy2": {"grid": TOY_GRID, "parameters": TOY_PARAMETERS},
+}
+OUTPUT = {"prefix": Key("string"), "format": Key("choice", choices=("csv", "json"))}
+CONFIG = {"schema": Key("choice", choices=(1,)), "kind": Key("choice", choices=KINDS),
+          "seed": Key("integer", minimum=0), "output": OUTPUT}
 
 
 def _fail(path: str, message: str) -> None:
     raise ValidationError(f"{path}: {message}")
 
 
-def _record(value: Any, path: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, "expected an object")
-    unknown = sorted(set(value) - set(required) - set(optional))
-    if unknown:
-        _fail(path, f"unknown keys {unknown}")
-    missing = [key for key in required if key not in value]
-    if missing:
-        _fail(path, f"missing keys {missing}")
-    return value
+@contextlib.contextmanager
+def _named(path: str):
+    """Prefix the ``ValidationError`` of a library constructor with its config path."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value: int | float, path: str) -> float:
@@ -111,38 +188,6 @@ def _finite(value: int | float, path: str) -> float:
     if not abs(value) <= sys.float_info.max:
         _fail(path, "expected a finite number")
     return float(value)
-
-
-def _number(record: dict, path: str, key: str, *, minimum: float | None = None,
-            exclusive_minimum: float | None = None) -> float:
-    value = record[key]
-    if not _is_number(value):
-        _fail(f"{path}.{key}", "expected a number")
-    value = _finite(value, f"{path}.{key}")
-    if minimum is not None and value < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        _fail(f"{path}.{key}", f"must be > {exclusive_minimum}, got {value}")
-    return value
-
-
-def _integer(record: dict, path: str, key: str, *, minimum: int | None = None,
-             maximum: int | None = None) -> int:
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", "expected an integer")
-    if minimum is not None and value < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _choice(record: dict, path: str, key: str, options: Sequence[str]) -> str:
-    value = record[key]
-    if value not in options:
-        _fail(f"{path}.{key}", f"must be one of {list(options)}, got {value!r}")
-    return value
 
 
 def _complex(value: Any, path: str) -> complex:
@@ -154,18 +199,81 @@ def _complex(value: Any, path: str) -> complex:
     _fail(path, "expected a number or a [re, im] pair")
 
 
-def _int_list(record: dict, path: str, key: str) -> list[int]:
-    value = record[key]
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        _fail(f"{path}.{key}", "expected a list of integers")
-    return list(value)
+def _walk(value: Any, table: dict, path: str) -> dict:
+    """A config record checked against ``table``, with its defaults filled in.
+
+    A choice that maps its values to further keys adds the keys of the value
+    given, so keys of another variant are unknown.  Nested tables are required.
+    """
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    for name, key in list(table.items()):
+        if isinstance(key, Key) and isinstance(key.choices, dict) and name in value:
+            table = {**table, **key.choices[_read(key, value[name], f"{path}.{name}")]}
+    missing = [name for name, key in table.items()
+               if name not in value and getattr(key, "default", _REQUIRED) is _REQUIRED]
+    if missing:
+        _fail(path, f"missing keys {missing}")
+    unknown = sorted(set(value) - set(table))
+    if unknown:
+        _fail(path, f"unknown keys {unknown}")
+    return {
+        name: _read(key, value[name], f"{path}.{name}") if name in value else key.default
+        for name, key in table.items()
+    }
 
 
-@dataclass(frozen=True)
+def _read(key: Key | dict | list, value: Any, path: str) -> Any:
+    """One config value checked against its key or table; every error names ``path``."""
+    if isinstance(key, dict):
+        return _walk(value, key, path)
+    if isinstance(key, list):
+        if not isinstance(value, list) or not value:
+            _fail(path, "expected a nonempty list of objects")
+        return [_walk(entry, key[0], f"{path}[{i}]") for i, entry in enumerate(value)]
+    if key.type == "choice":
+        if value not in list(key.choices):
+            _fail(path, f"must be one of {list(key.choices)}, got {value!r}")
+        return value
+    if key.type == "complex":
+        return _complex(value, path)
+    if key.type == "matrix":
+        if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value) for row in value
+        ):
+            _fail(path, "expected a square nested list of numbers or [re, im] pairs")
+        with _named(path):
+            return LinearOperator([[_complex(cell, path) for cell in row] for row in value],
+                                  hermitian=True)
+    expected, valid = {
+        "number": ("a number", _is_number(value)),
+        "integer": ("an integer", _is_integer(value)),
+        "boolean": ("a boolean", isinstance(value, bool)),
+        "string": ("a nonempty string", isinstance(value, str) and value != ""),
+        "integers": ("a list of integers", isinstance(value, list) and all(map(_is_integer, value))),
+    }[key.type]
+    if not valid:
+        _fail(path, f"expected {expected}")
+    if key.type == "number":
+        value = _finite(value, path)
+    elif key.type == "integer" and value >= 2 ** 64:
+        _fail(path, "must fit in 64 bits")
+    if key.minimum is not None and value < key.minimum:
+        _fail(path, f"must be >= {key.minimum}, got {value}")
+    if key.exclusive_minimum is not None and value <= key.exclusive_minimum:
+        _fail(path, f"must be > {key.exclusive_minimum}, got {value}")
+    if key.maximum is not None and value > key.maximum:
+        _fail(path, f"must be <= {key.maximum}, got {value}")
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed, schema-checked scenario: kind, parameters, seed, grid, output."""
+    """Parsed, schema-checked scenario: kind, parameters, seed, grid, output.
+
+    ``parameters`` and ``grid`` (``None`` for ``abl-check``) hold the checked
+    values with every default filled in.
+    """
 
     kind: str
     parameters: dict
@@ -176,29 +284,32 @@ class ScenarioConfig:
 
 
 def parse_config(raw: Any, path: str = "config") -> ScenarioConfig:
-    record = _record(raw, path, ("schema", "kind", "seed", "parameters", "output"), ("grid",))
-    schema = record["schema"]
-    if schema != 1:
-        _fail(f"{path}.schema", f"unsupported schema {schema!r}, expected 1")
-    kind = _choice(record, path, "kind", KINDS)
-    seed = _integer(record, path, "seed", minimum=0)
-    if seed >= 2 ** 64:
-        _fail(f"{path}.seed", "must fit in 64 bits")
-    output = _record(record["output"], f"{path}.output", ("prefix", "format"))
-    prefix = output["prefix"]
-    if not isinstance(prefix, str) or not prefix:
-        _fail(f"{path}.output.prefix", "expected a nonempty string")
-    fmt = _choice(output, f"{path}.output", "format", ("csv", "json"))
-    grid = record.get("grid")
-    if kind == "abl-check":
-        if grid is not None:
-            _fail(f"{path}.grid", "abl-check takes no grid")
-    elif grid is None:
-        _fail(path, "missing keys ['grid']")
-    parameters = record["parameters"]
-    if not isinstance(parameters, dict):
-        _fail(f"{path}.parameters", "expected an object")
-    return ScenarioConfig(kind, parameters, seed, grid, prefix, fmt)
+    """Check a whole config against its kind's table and the rules that join keys."""
+    values = _walk(raw, CONFIG, path)
+    kind, grid, parameters = values["kind"], values.get("grid"), values["parameters"]
+    if kind in ("nonrel-nparticle", "nonrel-classes"):
+        t_final = parameters["t_final"]
+        if grid["t_max"] is None:
+            grid["t_max"] = t_final
+        if not 0.0 <= grid["t_min"] <= grid["t_max"] <= t_final:
+            _fail(f"{path}.grid", f"need 0 <= t_min <= t_max <= {t_final}")
+        particles = parameters["particles"]
+        beable = parameters.get("beable_class")
+        conditioned = [p for p in particles if beable is None or p["class"] != beable]
+        for name, sites, count, what in (
+            ("initial.sites", parameters["initial"].get("sites"), len(particles), "particle"),
+            ("final_sites", parameters["final_sites"], len(conditioned), "conditioned particle"),
+        ):
+            if sites is None:
+                continue
+            if len(sites) != count:
+                _fail(f"{path}.parameters.{name}", f"need one site per {what} ({count})")
+            for site in sites:
+                if not 0 <= site < parameters["sites"]:
+                    _fail(f"{path}.parameters.{name}",
+                          f"site {site} out of range 0..{parameters['sites'] - 1}")
+    output = values["output"]
+    return ScenarioConfig(kind, parameters, values["seed"], grid, output["prefix"], output["format"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,30 +339,33 @@ def emit_field(field: BeableField, fmt: str, path: str) -> None:
 
 
 def load_field(fmt: str, path: str) -> BeableField:
-    """Reload an emitted field grid; the round trip is bit-exact."""
-    if fmt == "csv":
-        ts: list[float] = []
-        xs: list[float] = []
-        rows: list[float] = []
-        with open(path, "r", encoding="ascii") as handle:
-            header = handle.readline().strip()
-            if header != "t,x,rho":
-                raise ValidationError(f"{path}: unexpected field header {header!r}")
-            for line in handle:
-                t_text, x_text, rho_text = line.strip().split(",")
-                t, x, rho = float(t_text), float(x_text), float(rho_text)
-                if not ts or t != ts[-1]:
-                    ts.append(t)
-                if len(ts) == 1:
-                    xs.append(x)
-                rows.append(rho)
+    """Reload an emitted field grid; the round trip is bit-exact.
+
+    A malformed file raises ``ValidationError`` naming it."""
+    try:
+        if fmt == "csv":
+            ts: list[float] = []
+            xs: list[float] = []
+            rows: list[float] = []
+            with open(path, "r", encoding="ascii") as handle:
+                header = handle.readline().strip()
+                if header != "t,x,rho":
+                    raise ValidationError(f"{path}: unexpected field header {header!r}")
+                for line in handle:
+                    t_text, x_text, rho_text = line.strip().split(",")
+                    t, x, rho = float(t_text), float(x_text), float(rho_text)
+                    if not ts or t != ts[-1]:
+                        ts.append(t)
+                    if len(ts) == 1:
+                        xs.append(x)
+                    rows.append(rho)
+        else:
+            with open(path, "r", encoding="ascii") as handle:
+                document = json.load(handle)
+            ts, xs, rows = document["grid"]["ts"], document["grid"]["xs"], document["values"]
         values = np.array(rows).reshape(len(ts), len(xs))
-        return BeableField(np.array(ts), np.array(xs), values)
-    with open(path, "r", encoding="ascii") as handle:
-        document = json.load(handle)
-    ts = document["grid"]["ts"]
-    xs = document["grid"]["xs"]
-    values = np.array(document["values"]).reshape(len(ts), len(xs))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed field file: {exc}") from exc
     return BeableField(np.array(ts), np.array(xs), values)
 
 
@@ -285,46 +399,6 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
 # toy models
 
 
-def _build_toy_config(cfg: ScenarioConfig) -> tuple[ToyModelConfig, int | None]:
-    path = "config.parameters"
-    record = _record(
-        cfg.parameters,
-        path,
-        ("x1", "x2", "sigma1", "sigma2", "amp_a", "amp_b", "mass", "t1"),
-        ("branch", "separation_ratio"),
-    )
-    grid_record = _record(
-        cfg.grid, "config.grid", ("t_min", "t_max", "t_steps", "x_min", "x_max", "x_steps")
-    )
-    grid = SpacetimeGrid(
-        t_min=_number(grid_record, "config.grid", "t_min"),
-        t_max=_number(grid_record, "config.grid", "t_max"),
-        t_steps=_integer(grid_record, "config.grid", "t_steps", minimum=1),
-        x_min=_number(grid_record, "config.grid", "x_min"),
-        x_max=_number(grid_record, "config.grid", "x_max"),
-        x_steps=_integer(grid_record, "config.grid", "x_steps", minimum=2),
-    )
-    # parsed outside the ``try`` below: their errors already name their key
-    kwargs = dict(
-        x1=_number(record, path, "x1"),
-        x2=_number(record, path, "x2"),
-        sigma1=_number(record, path, "sigma1", exclusive_minimum=0.0),
-        sigma2=_number(record, path, "sigma2", exclusive_minimum=0.0),
-        amp_a=_complex(record["amp_a"], f"{path}.amp_a"),
-        amp_b=_complex(record["amp_b"], f"{path}.amp_b"),
-        mass=_number(record, path, "mass", exclusive_minimum=0.0),
-        t1=_number(record, path, "t1"),
-    )
-    if "separation_ratio" in record:
-        kwargs["separation_ratio"] = _number(record, path, "separation_ratio", exclusive_minimum=0.0)
-    try:
-        toy = ToyModelConfig(photons=1 if cfg.kind == "toy1" else 2, grid=grid, **kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    branch = _integer(record, path, "branch", minimum=1, maximum=2) if "branch" in record else None
-    return toy, branch
-
-
 def _toy_checks(toy: ToyModelConfig, choice: NatureChoice, field: BeableField) -> list[dict]:
     values = field.values
     inside_row, outside_row = branch_rows(toy, choice, field.xs)
@@ -353,7 +427,13 @@ def _toy_checks(toy: ToyModelConfig, choice: NatureChoice, field: BeableField) -
 
 
 def _run_toy(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
-    toy, branch = _build_toy_config(cfg)
+    with _named("config.grid"):
+        grid = SpacetimeGrid(**cfg.grid)
+    # an absent separation_ratio keeps the model's default
+    parameters = {name: value for name, value in cfg.parameters.items() if value is not None}
+    branch = parameters.pop("branch", None)
+    with _named("config.parameters"):
+        toy = ToyModelConfig(photons=1 if cfg.kind == "toy1" else 2, grid=grid, **parameters)
     if branch is None:
         choice = sample_nature_choice(toy, np.random.default_rng(cfg.seed))
     else:
@@ -379,103 +459,26 @@ def _run_toy(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
 # lattice models
 
 
-def _build_particles(records: Any, path: str, *, with_class: bool) -> tuple[ParticleSpec, ...]:
-    if not isinstance(records, list) or not records:
-        _fail(path, "expected a nonempty list of particle records")
-    particles = []
-    for index, raw in enumerate(records):
-        entry_path = f"{path}[{index}]"
-        keys = ("mass", "statistics") + (("class",) if with_class else ())
-        record = _record(raw, entry_path, ("mass",), keys[1:])
-        mass = _number(record, entry_path, "mass", exclusive_minimum=0.0)
-        statistics = Statistics(
-            _choice(record, entry_path, "statistics", tuple(s.value for s in Statistics))
-            if "statistics" in record
-            else "distinguishable"
+def _build_lattice_model(cfg: ScenarioConfig) -> LatticeModel:
+    parameters = cfg.parameters
+    sites, initial, h = parameters["sites"], parameters["initial"], parameters["hamiltonian"]
+    with _named("config.parameters"):
+        particles = tuple(
+            ParticleSpec(p["mass"], Statistics(p["statistics"]), ParticleClass(p.get("class", "B")))
+            for p in parameters["particles"]
         )
-        if with_class and "class" in record:
-            klass = ParticleClass(_choice(record, entry_path, "class", ("B", "F")))
+        if initial["type"] == "sites":
+            state = site_product_state(sites, particles, initial["sites"])
         else:
-            klass = ParticleClass.B
-        particles.append(ParticleSpec(mass, statistics, klass))
-    return tuple(particles)
-
-
-def _build_lattice_model(cfg: ScenarioConfig, *, with_class: bool) -> LatticeModel:
-    path = "config.parameters"
-    record = _record(
-        cfg.parameters,
-        path,
-        ("sites", "particles", "initial", "hamiltonian", "t_final"),
-        ("spacing", "beable_class", "final_sites"),
-    )
-    sites = _integer(record, path, "sites", minimum=1)
-    particles = _build_particles(record["particles"], f"{path}.particles", with_class=with_class)
-    initial_record = _record(
-        record["initial"], f"{path}.initial", ("type",), ("sites",)
-    )
-    initial_type = _choice(initial_record, f"{path}.initial", "type", ("sites", "uniform"))
-    if initial_type == "sites":
-        if "sites" not in initial_record:
-            _fail(f"{path}.initial", "missing keys ['sites']")
-        occupied = _int_list(initial_record, f"{path}.initial", "sites")
-        initial = site_product_state(sites, particles, occupied)
-    else:
-        initial = uniform_product_state(sites, len(particles))
-    h_path = f"{path}.hamiltonian"
-    h_record = _record(
-        record["hamiltonian"], h_path, ("type",), ("hopping", "contact", "periodic", "entries")
-    )
-    h_type = _choice(h_record, h_path, "type", ("hopping-contact", "matrix", "frozen"))
-    if h_type == "hopping-contact":
-        for key in ("hopping", "contact"):
-            if key not in h_record:
-                _fail(h_path, f"missing keys ['{key}']")
-        periodic = h_record.get("periodic", False)
-        if not isinstance(periodic, bool):
-            _fail(f"{h_path}.periodic", "expected a boolean")
-        hamiltonian = hopping_contact_hamiltonian(
-            sites,
-            particles,
-            hopping=_number(h_record, h_path, "hopping"),
-            contact=_number(h_record, h_path, "contact"),
-            periodic=periodic,
-        )
-    elif h_type == "matrix":
-        if "entries" not in h_record:
-            _fail(h_path, "missing keys ['entries']")
-        entries = h_record["entries"]
-        if not isinstance(entries, list) or not all(
-            isinstance(row, list) and len(row) == len(entries) for row in entries
-        ):
-            _fail(f"{h_path}.entries", "expected a square nested list of numbers or [re, im] pairs")
-        matrix = [[_complex(cell, f"{h_path}.entries") for cell in row] for row in entries]
-        hamiltonian = LinearOperator(matrix, hermitian=True)
-    else:
-        hamiltonian = None
-    spacing = _number(record, path, "spacing", exclusive_minimum=0.0) if "spacing" in record else 1.0
-    t_final = _number(record, path, "t_final", minimum=0.0)
-    try:
-        return LatticeModel(
-            sites=sites,
-            particles=particles,
-            initial=initial,
-            hamiltonian=hamiltonian,
-            t_final=t_final,
-            spacing=spacing,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _lattice_times(cfg: ScenarioConfig, t_final: float) -> np.ndarray:
-    record = _record(cfg.grid, "config.grid", ("t_steps",), ("t_min", "t_max"))
-    t_steps = _integer(record, "config.grid", "t_steps", minimum=1)
-    t_min = _number(record, "config.grid", "t_min") if "t_min" in record else 0.0
-    t_max = _number(record, "config.grid", "t_max") if "t_max" in record else t_final
-    if not 0.0 <= t_min <= t_max <= t_final:
-        _fail("config.grid", f"need 0 <= t_min <= t_max <= {t_final}")
-    return np.linspace(t_min, t_max, t_steps)
+            state = uniform_product_state(sites, len(particles))
+        if h["type"] == "hopping-contact":
+            hamiltonian = hopping_contact_hamiltonian(
+                sites, particles, hopping=h["hopping"], contact=h["contact"], periodic=h["periodic"]
+            )
+        else:
+            hamiltonian = h.get("entries")  # the checked operator of a matrix, None if frozen
+        return LatticeModel(sites=sites, particles=particles, initial=state, hamiltonian=hamiltonian,
+                            t_final=parameters["t_final"], spacing=parameters["spacing"])
 
 
 def _oracle_field_residual(
@@ -507,29 +510,15 @@ def _oracle_field_residual(
 
 
 def _run_lattice(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
-    with_class = cfg.kind == "nonrel-classes"
-    model = _build_lattice_model(cfg, with_class=with_class)
-    if with_class:
-        record = cfg.parameters
-        beable_name = record.get("beable_class", "B")
-        if beable_name not in ("B", "F"):
-            _fail("config.parameters.beable_class", f"must be 'B' or 'F', got {beable_name!r}")
-        beable_class: ParticleClass | None = ParticleClass(beable_name)
-        conditioned = beable_class.other()
+    model = _build_lattice_model(cfg)
+    beable_name = cfg.parameters.get("beable_class")  # absent for nonrel-nparticle
+    beable_class = ParticleClass(beable_name) if beable_name is not None else None
+    if cfg.parameters["final_sites"] is not None:
+        final_sites = tuple(cfg.parameters["final_sites"])
     else:
-        beable_class = None
-        conditioned = None
-    conditioned_labels = class_labels(model, conditioned)
-    if "final_sites" in cfg.parameters:
-        final_sites = tuple(_int_list(cfg.parameters, "config.parameters", "final_sites"))
-        if len(final_sites) != len(conditioned_labels):
-            _fail(
-                "config.parameters.final_sites",
-                f"need one site per conditioned particle ({len(conditioned_labels)})",
-            )
-    else:
+        conditioned = beable_class.other() if beable_class is not None else None
         final_sites = sample_final_sites(model, conditioned, np.random.default_rng(cfg.seed))
-    times = _lattice_times(cfg, model.t_final)
+    times = np.linspace(cfg.grid["t_min"], cfg.grid["t_max"], cfg.grid["t_steps"])
     field = abl_mass_field(model, beable_class, final_sites, times)
     field_path = f"{cfg.out_prefix}_field.{cfg.out_format}"
     emit_field(field, cfg.out_format, field_path)
@@ -582,15 +571,9 @@ def _monte_carlo_frequencies(scenario, trials: int, rng: np.random.Generator):
 
 
 def _run_abl_check(cfg: ScenarioConfig) -> tuple[list[dict], dict, dict]:
-    path = "config.parameters"
-    record = _record(cfg.parameters, path, ("count", "max_dim"), ("monte_carlo_trials",))
-    count = _integer(record, path, "count", minimum=1)
-    max_dim = _integer(record, path, "max_dim", minimum=2, maximum=32)
-    trials = (
-        _integer(record, path, "monte_carlo_trials", minimum=100)
-        if "monte_carlo_trials" in record
-        else None
-    )
+    count = cfg.parameters["count"]
+    max_dim = cfg.parameters["max_dim"]
+    trials = cfg.parameters["monte_carlo_trials"]
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     completed = 0
@@ -666,15 +649,16 @@ def run(
         print(f"error: config is not valid JSON: {exc}", file=stderr)
         return 2
     try:
-        cfg = parse_config(raw)
-        if seed is not None:
-            cfg = ScenarioConfig(cfg.kind, cfg.parameters, seed, cfg.grid, cfg.out_prefix, cfg.out_format)
-        if out is not None:
-            cfg = ScenarioConfig(cfg.kind, cfg.parameters, cfg.seed, cfg.grid, out, cfg.out_format)
-        if fmt is not None:
-            if fmt not in ("csv", "json"):
-                raise ValidationError(f"--format must be csv or json, got {fmt!r}")
-            cfg = ScenarioConfig(cfg.kind, cfg.parameters, cfg.seed, cfg.grid, cfg.out_prefix, fmt)
+        overrides = {
+            name: _read(key, value, flag)
+            for name, key, value, flag in (
+                ("seed", CONFIG["seed"], seed, "--seed"),
+                ("out_prefix", OUTPUT["prefix"], out, "--out"),
+                ("out_format", OUTPUT["format"], fmt, "--format"),
+            )
+            if value is not None
+        }
+        cfg = dataclasses.replace(parse_config(raw), **overrides)
         parsed_elapsed = time.perf_counter() - started
 
         directory = os.path.dirname(cfg.out_prefix)
@@ -736,7 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner.add_argument("config", help="path to a JSON scenario config")
     runner.add_argument("--seed", type=int, default=None, help="override the config seed")
     runner.add_argument("--out", default=None, help="override the output prefix")
-    runner.add_argument("--format", default=None, choices=("csv", "json"),
+    runner.add_argument("--format", default=None, choices=OUTPUT["format"].choices,
                         help="override the output format")
     args = parser.parse_args(argv)
     return run(args.config, seed=args.seed, out=args.out, fmt=args.format)

@@ -1,12 +1,16 @@
 """Front-end tests: config validation, emission formats, determinism, exits."""
 
+import copy
 import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beablesim import (
     BeableField,
@@ -19,6 +23,9 @@ from beablesim import (
     in_region_of_indeterminacy,
 )
 from beablesim.cli import (
+    _REQUIRED,
+    CONFIG,
+    Key,
     _build_lattice_model,
     _oracle_field_residual,
     _toy_checks,
@@ -157,6 +164,22 @@ class TestEmitField:
         emit_field(field, "csv", path)
         reloaded = load_field("csv", path)
         assert np.array_equal(reloaded.values, field.values)
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("csv", "t,x,rho\n0,0,1\n0,1\n"),
+            ("csv", "t,x,rho\n0,0,1\n0,1,one\n"),
+            ("json", json.dumps({"values": [1.0]})),
+            ("json", json.dumps({"grid": {"ts": [0.0], "xs": [0.0]}})),
+        ],
+        ids=["csv-two-cells", "csv-not-a-number", "json-no-grid", "json-no-values"],
+    )
+    def test_malformed_field_file_is_a_validation_error(self, tmp_path, fmt, text):
+        path = tmp_path / f"field.{fmt}"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=str(path)):
+            load_field(fmt, str(path))
 
 
 class TestRunToy:
@@ -314,7 +337,7 @@ class TestRunLattice:
         prefix = str(tmp_path / "cls")
         assert run_quiet(write_config(tmp_path, config), out=prefix) == 0
         report = json.loads(open(f"{prefix}_report.json").read())
-        model = _build_lattice_model(parse_config(config), with_class=True)
+        model = _build_lattice_model(parse_config(config))
         field = load_field("csv", f"{prefix}_field.csv")
         final_sites = report["selection"]["final_sites"]
         beable = ParticleClass.B
@@ -443,8 +466,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "entries",
-        [[[[True, False]]], [[0.0], [0.0, 1.0]], [[0.0, 1.0]], 5, [5], [[[0.0, "1"]]]],
-        ids=["boolean-pair", "ragged", "not-square", "not-a-list", "row-not-a-list", "string-part"],
+        [[[[True, False]]], [[0.0], [0.0, 1.0]], [[0.0, 1.0]], 5, [5], [[[0.0, "1"]]], [[[0.0, 1.0]]]],
+        ids=["boolean-pair", "ragged", "not-square", "not-a-list", "row-not-a-list", "string-part",
+             "non-hermitian"],
     )
     def test_bad_matrix_entries_are_a_validation_error(self, tmp_path, entries):
         # one site, so a single [re, im] cell is a whole 1x1 Hamiltonian
@@ -458,6 +482,55 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         assert run(path, out=str(tmp_path / "out"), stderr=stderr) == 2
         assert "config.parameters.hamiltonian.entries" in stderr.getvalue()
+
+    @pytest.mark.parametrize(
+        "record, update, message",
+        [
+            ("parameters", {"beable_class": 42}, "config.parameters: unknown keys ['beable_class']"),
+            ("parameters", {"hamiltonian": {"type": "frozen", "hopping": 1.0}},
+             "config.parameters.hamiltonian: unknown keys ['hopping']"),
+            ("parameters", {"initial": {"type": "uniform", "sites": [0, 1]}},
+             "config.parameters.initial: unknown keys ['sites']"),
+        ],
+        ids=["beable-class-of-classes-kind", "hopping-of-frozen", "sites-of-uniform"],
+    )
+    def test_key_of_another_kind_or_variant_is_rejected(self, tmp_path, record, update, message):
+        config = json.loads(open(os.path.join(CONFIGS, "nparticle.json")).read())
+        config[record].update(update)
+        stderr = io.StringIO()
+        assert run(write_config(tmp_path, config), out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert stderr.getvalue() == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "update, key",
+        [({"initial": {"type": "sites", "sites": [0, 9]}}, "initial.sites"),
+         ({"final_sites": [0, 9]}, "final_sites")],
+        ids=["initial-sites", "final-sites"],
+    )
+    def test_site_index_error_names_its_key(self, tmp_path, update, key):
+        config = json.loads(open(os.path.join(CONFIGS, "nparticle.json")).read())
+        config["parameters"].update(update)
+        stderr = io.StringIO()
+        assert run(write_config(tmp_path, config), out=str(tmp_path / "out"), stderr=stderr) == 2
+        assert stderr.getvalue() == f"error: config.parameters.{key}: site 9 out of range 0..2\n"
+
+    def test_config_that_fails_the_schema_writes_nothing(self, tmp_path):
+        config = json.loads(open(os.path.join(CONFIGS, "toy1.json")).read())
+        config["parameters"]["sigma1"] = -1
+        fresh = tmp_path / "fresh"
+        assert run_quiet(write_config(tmp_path, config), out=str(fresh / "run")) == 2
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize(
+        "override, flag",
+        [({"seed": -1}, "--seed"), ({"out": ""}, "--out"), ({"fmt": "xml"}, "--format")],
+        ids=["negative-seed", "empty-out", "unknown-format"],
+    )
+    def test_override_is_checked_against_its_key(self, tmp_path, monkeypatch, override, flag):
+        monkeypatch.chdir(tmp_path)  # an unchecked empty --out would write here
+        stderr = io.StringIO()
+        assert run(os.path.join(CONFIGS, "nparticle.json"), stderr=stderr, **override) == 2
+        assert stderr.getvalue().startswith(f"error: {flag}: ")
 
     def test_boolean_pair_amplitude_is_a_validation_error(self, tmp_path):
         config = json.loads(open(os.path.join(CONFIGS, "toy1.json")).read())
@@ -489,3 +562,87 @@ class TestExitCodes:
         assert main(["run", path]) == 0
         captured = capsys.readouterr()
         assert "check field-dichotomy: pass" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# schema mutations: every value outside a key's declared domain exits 2 naming it
+
+SAMPLES = {
+    name: json.loads(open(os.path.join(CONFIGS, name)).read())
+    for name in sorted(os.listdir(CONFIGS)) if name.endswith(".json")
+}
+
+
+def schema_keys(table, record, route=()):
+    """(route, key, deletable) for every key ``table`` admits in ``record``."""
+    for name, key in list(table.items()):
+        if isinstance(key, Key) and isinstance(key.choices, dict):
+            table = {**table, **key.choices[record[name]]}
+    for name, key in table.items():
+        here = route + (name,)
+        required = not isinstance(key, Key) or key.default is _REQUIRED
+        yield here, key, required and name in record
+        if isinstance(key, dict):
+            yield from schema_keys(key, record[name], here)
+        elif isinstance(key, list):
+            for index, entry in enumerate(record[name]):
+                yield here + (index,), key[0], False
+                yield from schema_keys(key[0], entry, here + (index,))
+
+
+def out_of_domain(key):
+    """Values outside ``key``'s declared type and bounds."""
+    if isinstance(key, dict):
+        return [5, [], "unknown"]
+    if isinstance(key, list):
+        return [[], {}]
+    values = {
+        "number": ["1.0", True, float("nan")],
+        "integer": [1.5, "1", True, 2 ** 64, 10 ** 30],
+        "complex": ["x", [1.0], float("nan"), [True, False]],
+        "choice": ["bogus", 42],
+        "boolean": [1, "true"],
+        "string": ["", 5],
+        "integers": ["x", [0.5], [True]],
+    }[key.type]
+    step = 1 if key.type == "integer" else 1.0
+    if key.minimum is not None:
+        values.append(key.minimum - step)
+    if key.exclusive_minimum is not None:
+        values += [key.exclusive_minimum, key.exclusive_minimum - step]
+    if key.maximum is not None:
+        values.append(key.maximum + step)
+    return values
+
+
+def dotted(route):
+    return "config" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in route)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.data())
+def test_out_of_domain_mutation_exits_2_naming_its_key(data):
+    config = copy.deepcopy(SAMPLES[data.draw(st.sampled_from(sorted(SAMPLES)))])
+    route, key, deletable = data.draw(st.sampled_from(list(schema_keys(CONFIG, config))))
+    parent = config
+    for part in route[:-1]:
+        parent = parent[part]
+    choices = out_of_domain(key) + (["delete"] if deletable else [])
+    mutation = data.draw(st.sampled_from(choices), label="mutation")
+    if mutation == "delete":
+        del parent[route[-1]]
+        expected = f"error: {dotted(route[:-1])}: missing keys [{route[-1]!r}]\n"
+    elif mutation == "unknown" and isinstance(key, dict):
+        parent[route[-1]]["bogus"] = 1
+        expected = f"error: {dotted(route)}: unknown keys ['bogus']\n"
+    else:
+        parent[route[-1]] = mutation
+        expected = f"error: {dotted(route)}: "
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as handle:
+            json.dump(config, handle)
+        stderr = io.StringIO()
+        code = run(path, out=os.path.join(work, "fresh", "run"), stderr=stderr)
+        assert (code, stderr.getvalue()[: len(expected)]) == (2, expected)
+        assert not os.path.exists(os.path.join(work, "fresh"))
